@@ -15,7 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from typing import NamedTuple
+from itertools import compress, repeat
+from operator import itemgetter
+from typing import Iterator, NamedTuple
 
 from .codes import DocumentCode
 from .errors import MediaCubeError
@@ -24,7 +26,6 @@ from .store import (
     UnknownContext,
     UnknownDocument,
     UnknownUser,
-    UsageEvent,
     normalize_timestamp,
 )
 
@@ -69,7 +70,7 @@ class CubeQuery:
     time_granularity: str = "day"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CubeCell:
     """One group: free-dimension values, its count, and the contributing events."""
 
@@ -104,16 +105,20 @@ def pattern_id(query: CubeQuery) -> int:
             + 1 * ("time" in fixed))
 
 
+# Length of a day label's prefix that names each bucket: YYYY-MM-DD, YYYY-MM, YYYY.
+_LABEL_WIDTH = {"day": 10, "month": 7, "year": 4}
+
+
+def _check_granularity(granularity: str) -> None:
+    if granularity not in GRANULARITIES:
+        raise InvalidGranularity(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
+
+
 def time_bucket(timestamp: datetime, granularity: str) -> str:
     """Bucket label of a UTC instant at day, month, or year granularity."""
-    utc = timestamp.astimezone(timezone.utc)
-    if granularity == "day":
-        return utc.strftime("%Y-%m-%d")
-    if granularity == "month":
-        return utc.strftime("%Y-%m")
-    if granularity == "year":
-        return utc.strftime("%Y")
-    raise InvalidGranularity(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
+    _check_granularity(granularity)
+    label = timestamp.astimezone(timezone.utc).date().isoformat()
+    return label[:_LABEL_WIDTH[granularity]]
 
 
 def _check_fixed(snapshot: CatalogSnapshot, fixed: DimensionFilter) -> None:
@@ -129,32 +134,45 @@ def _check_fixed(snapshot: CatalogSnapshot, fixed: DimensionFilter) -> None:
             raise InvalidTimeRange(f"empty time range [{start}, {end})")
 
 
-def _matches(event: UsageEvent, fixed: DimensionFilter) -> bool:
-    if fixed.document is not None and str(event.document_code) != str(fixed.document):
-        return False
-    if fixed.context is not None and event.context != fixed.context:
-        return False
-    if fixed.user is not None and event.user_id != fixed.user:
-        return False
-    if fixed.time is not None:
-        utc = event.timestamp.astimezone(timezone.utc)
-        if isinstance(fixed.time, tuple):
-            start, end = fixed.time
-            if not (start <= utc < end):
-                return False
-        elif utc.date() != fixed.time:
-            return False
-    return True
+def _group(snapshot: CatalogSnapshot, fixed: DimensionFilter, keys: tuple[str, ...],
+           granularity: str = "day") -> Iterator[tuple[tuple[str, ...], list[int]]]:
+    """Ids of the events matching ``fixed``, grouped by ``keys``, sorted by key.
 
+    ``keys`` names snapshot columns: the four dimensions and ``use_type``.
+    A time key is the day label cut to ``granularity``. Empty groups are
+    omitted; each group lists its event ids in event order.
+    """
+    _check_granularity(granularity)
+    _check_fixed(snapshot, fixed)
+    columns = {"document": snapshot.event_codes, "context": snapshot.event_contexts,
+               "user": snapshot.event_users, "time": snapshot.event_days,
+               "use_type": snapshot.event_use_types}
+    wanted = [(columns[d], str(getattr(fixed, d))) for d in ("document", "context", "user")
+              if getattr(fixed, d) is not None]
+    if isinstance(fixed.time, date):
+        wanted.append((columns["time"], fixed.time.isoformat()))
 
-def _key_value(event: UsageEvent, dimension: str, granularity: str) -> str:
-    if dimension == "document":
-        return str(event.document_code)
-    if dimension == "context":
-        return event.context
-    if dimension == "user":
-        return event.user_id
-    return time_bucket(event.timestamp, granularity)
+    rows: range | list[int] = range(len(snapshot.events))
+    def pick(column):  # the column's values at ``rows``, in row order
+        return column if isinstance(rows, range) else map(column.__getitem__, rows)
+    for column, value in wanted:
+        rows = list(compress(rows, map(value.__eq__, pick(column))))
+    if isinstance(fixed.time, tuple):
+        start, end = fixed.time
+        rows = [i for i in rows if start <= snapshot.events[i].timestamp < end]
+
+    label = itemgetter(slice(_LABEL_WIDTH[granularity]))  # day label -> bucket label
+    values = [map(label, pick(columns[k])) if k == "time" else pick(columns[k]) for k in keys]
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for key, event_id in zip(zip(*values) if values else repeat((), len(rows)),
+                             pick(snapshot.event_ids)):
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [event_id]
+        else:
+            members.append(event_id)
+    # Popping frees each list as soon as the caller has consumed it.
+    return ((key, groups.pop(key)) for key in sorted(groups))
 
 
 def cube_query(snapshot: CatalogSnapshot, query: CubeQuery) -> CubeResult:
@@ -164,23 +182,9 @@ def cube_query(snapshot: CatalogSnapshot, query: CubeQuery) -> CubeResult:
     groups are omitted, cells come sorted by key, and each cell retains
     the contributing event ids.
     """
-    if query.time_granularity not in GRANULARITIES:
-        raise InvalidGranularity(
-            f"granularity must be one of {GRANULARITIES}, got {query.time_granularity!r}")
-    _check_fixed(snapshot, query.fixed)
     free = tuple(d for d in DIMENSIONS if d not in query.fixed.fixed_dimensions())
-
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for event in snapshot.events:
-        if not _matches(event, query.fixed):
-            continue
-        key = tuple(_key_value(event, d, query.time_granularity) for d in free)
-        groups.setdefault(key, []).append(event.event_id)
-
-    cells = tuple(
-        CubeCell(key=key, count=len(ids), event_ids=tuple(ids))
-        for key, ids in sorted(groups.items())
-    )
+    cells = tuple(CubeCell(key, len(ids), tuple(ids))
+                  for key, ids in _group(snapshot, query.fixed, free, query.time_granularity))
     return CubeResult(
         pattern=pattern_id(query),
         free_dimensions=free,
@@ -204,38 +208,36 @@ class UseTypeCounts(NamedTuple):
     occasional: int
 
 
+def _counts(snapshot: CatalogSnapshot, keys: tuple[str, ...],
+            fixed: DimensionFilter = DimensionFilter(), granularity: str = "day"):
+    return [(key, len(ids)) for key, ids in _group(snapshot, fixed, keys, granularity)]
+
+
 def document_importance(snapshot: CatalogSnapshot) -> list[tuple[str, int]]:
     """Documents ranked by total usage, count descending, code ascending."""
-    counts = Counter(str(e.document_code) for e in snapshot.events)
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    by_code = [(code, n) for (code,), n in _counts(snapshot, ("document",))]
+    return sorted(by_code, key=lambda item: -item[1])  # stable: ties keep code order
 
 
 def user_interest(snapshot: CatalogSnapshot, user_id: str) -> UserInterest:
     """Per-context and per-document usage counts for one user."""
-    if user_id not in snapshot.user_by_id:
-        raise UnknownUser(f"user {user_id!r} is not registered")
-    contexts: Counter[str] = Counter()
-    documents: Counter[str] = Counter()
-    for event in snapshot.events:
-        if event.user_id == user_id:
-            contexts[event.context] += 1
-            documents[str(event.document_code)] += 1
+    mine = DimensionFilter(user=user_id)
     return UserInterest(
-        contexts=dict(sorted(contexts.items())),
-        documents=dict(sorted(documents.items())),
+        contexts={context: n for (context,), n in _counts(snapshot, ("context",), mine)},
+        documents={code: n for (code,), n in _counts(snapshot, ("document",), mine)},
     )
 
 
 def usage_evolution(snapshot: CatalogSnapshot, granularity: str = "day") -> list[tuple[str, int]]:
     """Event counts per time bucket, ascending; empty buckets omitted."""
-    counts = Counter(time_bucket(e.timestamp, granularity) for e in snapshot.events)
-    return sorted(counts.items())
+    return [(label, n) for (label,), n in _counts(snapshot, ("time",), granularity=granularity)]
 
 
 def usage_type_ratio(snapshot: CatalogSnapshot) -> UseTypeCounts:
     """How often documents were used repetitively versus occasionally."""
-    repetitive = sum(1 for e in snapshot.events if e.use_type == "repetitive")
-    return UseTypeCounts(repetitive=repetitive, occasional=len(snapshot.events) - repetitive)
+    counts = {use_type: n for (use_type,), n in _counts(snapshot, ("use_type",))}
+    return UseTypeCounts(repetitive=counts.get("repetitive", 0),
+                         occasional=counts.get("occasional", 0))
 
 
 def context_by_social_class(snapshot: CatalogSnapshot) -> dict[tuple[str, str], int]:
@@ -244,8 +246,6 @@ def context_by_social_class(snapshot: CatalogSnapshot) -> dict[tuple[str, str], 
     Users without a social class count under ``"unspecified"``.
     """
     counts: Counter[tuple[str, str]] = Counter()
-    for event in snapshot.events:
-        profile = snapshot.user_by_id.get(event.user_id)
-        social = profile.social_class if profile and profile.social_class else "unspecified"
-        counts[(social, event.context)] += 1
+    for (user_id, context), n in _counts(snapshot, ("user", "context")):
+        counts[(snapshot.user_by_id[user_id].social_class or "unspecified", context)] += n
     return dict(sorted(counts.items()))

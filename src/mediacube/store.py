@@ -10,9 +10,11 @@ events. Saving the same snapshot twice yields byte-identical files.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -78,7 +80,8 @@ def normalize_timestamp(value: datetime) -> datetime:
 
 
 def format_timestamp(value: datetime) -> str:
-    return normalize_timestamp(value).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """ISO 8601 UTC with a trailing ``Z``; the year is always four digits."""
+    return normalize_timestamp(value).replace(tzinfo=None).isoformat() + "Z"
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -86,7 +89,7 @@ def parse_timestamp(text: str) -> datetime:
     return normalize_timestamp(datetime.fromisoformat(text.replace("Z", "+00:00")))
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, slots=True)
 class UsageEvent:
     """One observation of a document being used.
 
@@ -118,20 +121,34 @@ class ContextEntry:
 
 @dataclass(frozen=True, kw_only=True)
 class CatalogSnapshot:
-    """An immutable, internally consistent view handed to analytics."""
+    """An immutable, internally consistent view handed to analytics.
+
+    Besides the event tuple it carries one column per event key, each
+    parallel to ``events``: the canonical document-code text, the UTC day
+    label (``YYYY-MM-DD``), the context, the user, the use type and the
+    event id. Analytics groups over these columns instead of the events.
+    """
 
     records: tuple[GenericRecord, ...]
     events: tuple[UsageEvent, ...]
     users: tuple[UserProfile, ...]
     contexts: tuple[ContextEntry, ...]
-    taken_at: datetime = field(compare=False)
+    event_codes: tuple[str, ...] = field(compare=False, repr=False)
+    event_days: tuple[str, ...] = field(compare=False, repr=False)
 
-    # Lookup indexes derived from the value fields; excluded from equality.
+    # Derived from the value fields; excluded from equality.
+    event_contexts: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    event_users: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    event_use_types: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    event_ids: tuple[int, ...] = field(init=False, compare=False, repr=False)
     record_by_code: Mapping[str, GenericRecord] = field(init=False, compare=False, repr=False)
     user_by_id: Mapping[str, UserProfile] = field(init=False, compare=False, repr=False)
     context_labels: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        for name, attr in (("event_contexts", "context"), ("event_users", "user_id"),
+                           ("event_use_types", "use_type"), ("event_ids", "event_id")):
+            object.__setattr__(self, name, tuple(map(attrgetter(attr), self.events)))
         object.__setattr__(self, "record_by_code",
                            {str(r.document_code): r for r in self.records})
         object.__setattr__(self, "user_by_id", {u.user_id: u for u in self.users})
@@ -153,9 +170,13 @@ class CatalogStore:
         self._lock = threading.RLock()
         self._records: dict[str, GenericRecord] = {}
         self._events: list[UsageEvent] = []
+        # Append-only key columns parallel to _events: code text and UTC day.
+        self._event_codes: list[str] = []
+        self._event_days: list[str] = []
         self._users: dict[str, UserProfile] = {}
         self._contexts: dict[str, ContextEntry] = _static_context_table()
         self._next_event_id = 1
+        self._snapshot: CatalogSnapshot | None = None  # dropped by every write
         self.sources = SourceRegistry()
 
     # -- generic records ----------------------------------------------------
@@ -169,6 +190,7 @@ class CatalogStore:
                 details = "; ".join(f"{p.field}: {p.message}" for p in report.violations)
                 raise RecordInvalid(f"{record.document_code}: {details}")
             self._records[str(record.document_code)] = record
+            self._snapshot = None
 
     def get_record(self, code: DocumentCode | str) -> GenericRecord:
         try:
@@ -184,6 +206,7 @@ class CatalogStore:
             raise MalformedProfile("user_id must be non-empty")
         with self._lock:
             self._users[profile.user_id] = profile
+            self._snapshot = None
 
     def get_user(self, user_id: str) -> UserProfile:
         try:
@@ -214,9 +237,16 @@ class CatalogStore:
                 self._contexts[event.context] = ContextEntry(
                     label=event.context, origin="dynamic", first_seen=timestamp)
             event_id = self._next_event_id
-            self._next_event_id += 1
-            self._events.append(replace(event, event_id=event_id, timestamp=timestamp))
+            self._append(replace(event, event_id=event_id, timestamp=timestamp), code)
             return event_id
+
+    def _append(self, event: UsageEvent, code: str) -> None:
+        """Add a validated event and its key columns; the caller holds the lock."""
+        self._events.append(event)
+        self._event_codes.append(sys.intern(code))
+        self._event_days.append(sys.intern(event.timestamp.date().isoformat()))
+        self._next_event_id = max(self._next_event_id, event.event_id + 1)
+        self._snapshot = None
 
     def list_contexts(self) -> list[ContextEntry]:
         """All context entries, the four static ones first, then by first_seen."""
@@ -228,14 +258,18 @@ class CatalogStore:
     # -- snapshots -----------------------------------------------------------
 
     def snapshot(self) -> CatalogSnapshot:
+        """The current state; the same object is returned until the next write."""
         with self._lock:
-            return CatalogSnapshot(
-                records=tuple(self._records[k] for k in sorted(self._records)),
-                events=tuple(self._events),
-                users=tuple(self._users[k] for k in sorted(self._users)),
-                contexts=tuple(self.list_contexts()),
-                taken_at=utc_now(),
-            )
+            if self._snapshot is None:
+                self._snapshot = CatalogSnapshot(
+                    records=tuple(self._records[k] for k in sorted(self._records)),
+                    events=tuple(self._events),
+                    users=tuple(self._users[k] for k in sorted(self._users)),
+                    contexts=tuple(self.list_contexts()),
+                    event_codes=tuple(self._event_codes),
+                    event_days=tuple(self._event_days),
+                )
+            return self._snapshot
 
     # -- persistence ---------------------------------------------------------
 
@@ -291,6 +325,7 @@ class CatalogStore:
         except OSError as exc:
             raise StorageIO(f"cannot read {path}: {exc}") from exc
         store = cls()
+        codes: dict[str, DocumentCode] = {}  # one code object per distinct text
         for line_number, line in enumerate(text.split("\n"), start=1):
             if not line:
                 continue
@@ -299,14 +334,15 @@ class CatalogStore:
             except json.JSONDecodeError as exc:
                 raise CorruptCatalog(line_number, f"invalid JSON: {exc.msg}") from exc
             try:
-                store._apply_loaded(data)
+                store._apply_loaded(data, codes)
             except CorruptCatalog:
                 raise
             except (MediaCubeError, KeyError, ValueError, TypeError) as exc:
                 raise CorruptCatalog(line_number, str(exc)) from exc
         return store
 
-    def _apply_loaded(self, data: dict) -> None:
+    def _apply_loaded(self, data: dict, codes: dict[str, DocumentCode]) -> None:
+        self._snapshot = None
         kind = data.get("kind")
         if kind == "source":
             self.sources.register(source_from_dict(data))
@@ -326,23 +362,26 @@ class CatalogStore:
                 first_seen=parse_timestamp(data["first_seen"]),
             )
         elif kind == "event":
+            # Parsed text is canonical, so ``code`` equals str(document_code).
+            code = data["document_code"]
+            document_code = codes.get(code)
+            if document_code is None:
+                document_code = codes[code] = parse_document_code(code)
             event = UsageEvent(
                 event_id=int(data["event_id"]),
-                document_code=parse_document_code(data["document_code"]),
-                context=data["context"],
-                user_id=data["user_id"],
+                document_code=document_code,
+                context=sys.intern(data["context"]),
+                user_id=sys.intern(data["user_id"]),
                 timestamp=parse_timestamp(data["timestamp"]),
-                use_type=data["use_type"],
+                use_type=sys.intern(data["use_type"]),
             )
-            code = str(event.document_code)
             if code not in self._records:
                 raise ValueError(f"event {event.event_id} references unknown document {code}")
             if event.user_id not in self._users:
                 raise ValueError(f"event {event.event_id} references unknown user {event.user_id!r}")
             if event.use_type not in USE_TYPES:
                 raise ValueError(f"event {event.event_id} has bad use_type {event.use_type!r}")
-            self._events.append(event)
-            self._next_event_id = max(self._next_event_id, event.event_id + 1)
+            self._append(event, code)
         else:
             raise ValueError(f"unknown object kind {kind!r}")
 

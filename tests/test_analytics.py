@@ -22,7 +22,13 @@ from mediacube.analytics import (
     user_interest,
 )
 from mediacube.codes import parse_document_code
-from mediacube.store import UnknownContext, UnknownDocument, UnknownUser
+from mediacube.store import (
+    CatalogStore,
+    UnknownContext,
+    UnknownDocument,
+    UnknownUser,
+    UsageEvent,
+)
 from oracle import (
     all_dimension_subsets,
     assert_cube_matches_oracle as assert_matches_oracle,
@@ -120,6 +126,27 @@ def test_time_buckets():
     assert time_bucket(ts, "day") == "2024-01-02"
     assert time_bucket(ts, "month") == "2024-01"
     assert time_bucket(ts, "year") == "2024"
+
+
+def test_time_buckets_before_year_1000_are_zero_padded_and_sort_first(five_event_store):
+    ts = datetime(999, 3, 4, tzinfo=timezone.utc)
+    assert time_bucket(ts, "day") == "0999-03-04"
+    assert time_bucket(ts, "month") == "0999-03"
+    assert time_bucket(ts, "year") == "0999"
+    five_event_store.record_usage(UsageEvent(
+        document_code=parse_document_code("fx:d1"), context="teaching", user_id="u1",
+        timestamp=ts, use_type="occasional"))
+    snapshot = five_event_store.snapshot()
+    assert usage_evolution(snapshot, "year") == [("0999", 1), ("2024", 5)]
+    assert [c.key for c in cube_query(snapshot, CubeQuery(
+        fixed=DimensionFilter(context="teaching"), time_granularity="year")).cells] == [
+        ("fx:d1", "u1", "0999"), ("fx:d1", "u1", "2024"), ("fx:d2", "u1", "2024")]
+
+
+def test_usage_evolution_checks_granularity_before_grouping(five_event_store):
+    for snapshot in (CatalogStore().snapshot(), five_event_store.snapshot()):
+        with pytest.raises(InvalidGranularity):
+            usage_evolution(snapshot, "week")
 
 
 # -- randomized oracle equivalence -------------------------------------------------

@@ -322,6 +322,19 @@ def test_timestamp_format_parse_round_trip(value):
     assert parse_timestamp(format_timestamp(value)) == normalize_timestamp(value)
 
 
+def test_save_load_round_trip_before_year_1000(tmp_path):
+    store = seeded_store()
+    store.record_usage(event(context="scriptorium", when="0999-03-04T00:00:00"))
+    path = tmp_path / "catalog.jsonl"
+    store.save(path)
+    text = path.read_text(encoding="utf-8")
+    assert '"timestamp":"0999-03-04T00:00:00Z"' in text
+    assert '"first_seen":"0999-03-04T00:00:00Z"' in text
+    reloaded = CatalogStore.load(path)
+    assert reloaded.snapshot() == store.snapshot()
+    assert reloaded.snapshot().event_days == ("0999-03-04",)
+
+
 def test_concurrent_readers_see_consistent_snapshots():
     import threading
 
