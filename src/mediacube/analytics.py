@@ -17,20 +17,24 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import compress, repeat
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
-from .codes import DocumentCode
-from .errors import MediaCubeError
+from .codes import DocumentCode, MalformedCode, parse_document_code
+from .errors import BadRequest, MediaCubeError
 from .store import (
     CatalogSnapshot,
     UnknownContext,
     UnknownDocument,
     UnknownUser,
     normalize_timestamp,
+    parse_timestamp,
 )
 
 DIMENSIONS = ("document", "context", "user", "time")
 GRANULARITIES = ("day", "month", "year")
+#: Filter input names (CLI ``--fix DIM=VALUE``, HTTP query) -> dimensions.
+FILTER_NAMES = {"doc": "document", "context": "context", "user": "user", "time": "time"}
+TIME_GRAMMAR = '"YYYY-MM-DD" or "YYYY-MM-DDThh:mm:ssZ/YYYY-MM-DDThh:mm:ssZ"'
 
 
 class InvalidTimeRange(MediaCubeError):
@@ -62,6 +66,39 @@ class DimensionFilter:
 
     def fixed_dimensions(self) -> tuple[str, ...]:
         return tuple(d for d in DIMENSIONS if getattr(self, d) is not None)
+
+
+def parse_filter(fields: Mapping[str, str]) -> DimensionFilter:
+    """Build a filter from the text of ``doc``, ``context``, ``user`` and ``time``.
+
+    The one parser of filter input, shared by the CLI and the HTTP service.
+    A time is a day or a half-open instant range (:data:`TIME_GRAMMAR`). An
+    unknown name, an empty value, a malformed time or a doc code that does
+    not parse raises :class:`BadRequest`.
+    """
+    fixed: dict[str, object] = {}
+    for name, text in fields.items():
+        if name not in FILTER_NAMES:
+            raise BadRequest(f"dimension must be one of {', '.join(FILTER_NAMES)}, got {name!r}")
+        if not text:
+            raise BadRequest(f"{name} needs a non-empty value")
+        if name == "doc":
+            try:
+                fixed["document"] = parse_document_code(text)
+            except MalformedCode as exc:
+                raise BadRequest(f"doc: {exc}") from None
+        elif name == "time":
+            start_text, sep, end_text = text.partition("/")
+            try:
+                if sep:
+                    fixed["time"] = (parse_timestamp(start_text), parse_timestamp(end_text))
+                else:
+                    fixed["time"] = date.fromisoformat(text)
+            except ValueError:
+                raise BadRequest(f"time expects {TIME_GRAMMAR}, got {text!r}") from None
+        else:
+            fixed[name] = text
+    return DimensionFilter(**fixed)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Command-line front end for catalog ingestion, logging, and reporting.
 
-Exit codes: 0 on success, 1 on domain errors (the error case name goes to
-standard error), 2 on usage errors.
+Exit code 0 means success. On an error the case name and message go to
+standard error, and the exit code comes from ``errors.ERROR_TABLE``: 2 for a
+usage error, 1 for any other domain error.
 """
 
 from __future__ import annotations
@@ -10,75 +11,33 @@ import argparse
 import json
 import os
 import sys
-from datetime import date, datetime
 from pathlib import Path
 
 from . import analytics, service
-from .codes import MalformedCode, parse_document_code
+from .codes import parse_document_code
 from .descriptors import record_to_dict
-from .errors import MediaCubeError
-from .federation import SourceDescriptor, ingest_source, mapping_from_dict
-from .store import (
-    CatalogStore,
-    StorageIO,
-    UsageEvent,
-    UserProfile,
-    format_timestamp,
-    parse_timestamp,
-    utc_now,
-)
+from .errors import BadRequest, MediaCubeError, exit_code
+from .federation import SourceDescriptor, ingest_source, mapping_from_dict, source_record_to_dict
+from .store import CatalogStore, StorageIO, UserProfile, format_timestamp, parse_usage_event
 
 CATALOG_ENV = "MEDIACUBE_CATALOG"
 
-FIX_DIMENSIONS = ("doc", "context", "user", "time")
-TIME_GRAMMAR = ('"YYYY-MM-DD" or "YYYY-MM-DDThh:mm:ssZ/YYYY-MM-DDThh:mm:ssZ"')
 
-
-def _timestamp_arg(text: str) -> datetime:
-    try:
-        return parse_timestamp(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an instant like 2024-01-01T09:00:00Z, got {text!r}")
-
-
-def _parse_time_filter(text: str):
-    """Parse a --fix time value: an exact day or a half-open instant range."""
-    if "/" in text:
-        start_text, _, end_text = text.partition("/")
-        return (parse_timestamp(start_text), parse_timestamp(end_text))
-    return date.fromisoformat(text)
-
-
-def _parse_fixes(parser: argparse.ArgumentParser, pairs: list[str]) -> analytics.DimensionFilter:
-    fixed: dict[str, object] = {}
+def _parse_fixes(pairs: list[str] | None) -> dict[str, str]:
+    """Split ``--fix DIM=VALUE`` pairs; ``analytics.parse_filter`` checks them."""
+    fixes: dict[str, str] = {}
     for pair in pairs or []:
-        dim, sep, value = pair.partition("=")
-        if not sep or not value:
-            parser.error(f"--fix expects DIM=VALUE, got {pair!r}")
-        if dim not in FIX_DIMENSIONS:
-            parser.error(f"--fix dimension must be one of {', '.join(FIX_DIMENSIONS)}, got {dim!r}")
-        if dim in fixed:
-            parser.error(f"--fix {dim} given twice")
-        if dim == "time":
-            try:
-                fixed["time"] = _parse_time_filter(value)
-            except ValueError:
-                parser.error(f"--fix time expects {TIME_GRAMMAR}, got {value!r}")
-        elif dim == "doc":
-            try:
-                fixed["document"] = parse_document_code(value)
-            except MalformedCode as exc:
-                parser.error(f"--fix doc: {exc}")
-        else:
-            fixed[dim] = value
-    return analytics.DimensionFilter(**fixed)
+        dim, _, value = pair.partition("=")
+        if dim in fixes:
+            raise BadRequest(f"--fix {dim} given twice")
+        fixes[dim] = value
+    return fixes
 
 
 def _catalog_path(args: argparse.Namespace) -> Path:
     path = args.catalog or os.environ.get(CATALOG_ENV)
     if not path:
-        args.parser.error(f"no catalog path: pass --catalog or set {CATALOG_ENV}")
+        raise BadRequest(f"no catalog path: pass --catalog or set {CATALOG_ENV}")
     return Path(path)
 
 
@@ -95,13 +54,6 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)
 
 
-def _code_arg(parser: argparse.ArgumentParser, text: str):
-    try:
-        return parse_document_code(text)
-    except MalformedCode as exc:
-        parser.error(str(exc))
-
-
 # -- command handlers --------------------------------------------------------
 
 
@@ -112,7 +64,7 @@ def _cmd_source_register(args) -> int:
     except OSError as exc:
         raise StorageIO(f"cannot read mapping file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        args.parser.error(f"mapping file is not valid JSON: {exc}")
+        raise BadRequest(f"mapping file is not valid JSON: {exc}") from None
     descriptor = SourceDescriptor(
         source_id=args.source_id,
         kind=args.kind,
@@ -140,19 +92,15 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_record_get(args) -> int:
     store, _ = _open_store(args)
-    record = store.get_record(_code_arg(args.parser, args.code))
+    record = store.get_record(parse_document_code(args.code))
     print(_dump_json(record_to_dict(record)))
     return 0
 
 
 def _cmd_resolve(args) -> int:
     store, _ = _open_store(args)
-    raw = store.sources.resolve(_code_arg(args.parser, args.code))
-    print(_dump_json({
-        "source_id": raw.source_id,
-        "local_id": raw.local_id,
-        "raw_fields": dict(raw.raw_fields),
-    }))
+    raw = store.sources.resolve(parse_document_code(args.code))
+    print(_dump_json(source_record_to_dict(raw)))
     return 0
 
 
@@ -171,13 +119,11 @@ def _cmd_user_register(args) -> int:
 
 def _cmd_usage_log(args) -> int:
     store, path = _open_store(args)
-    event_id = store.record_usage(UsageEvent(
-        document_code=_code_arg(args.parser, args.doc),
-        context=args.context,
-        user_id=args.user,
-        timestamp=args.time or utc_now(),
-        use_type=args.type,
-    ))
+    fields = {"document_code": args.doc, "context": args.context,
+              "user_id": args.user, "use_type": args.type}
+    if args.time is not None:
+        fields["timestamp"] = args.time
+    event_id = store.record_usage(parse_usage_event(fields))
     store.save(path)
     print(event_id)
     return 0
@@ -193,7 +139,7 @@ def _cmd_contexts(args) -> int:
 def _cmd_cube(args) -> int:
     store, _ = _open_store(args)
     query = analytics.CubeQuery(
-        fixed=_parse_fixes(args.parser, args.fix),
+        fixed=analytics.parse_filter(_parse_fixes(args.fix)),
         time_granularity=args.granularity,
     )
     result = analytics.cube_query(store.snapshot(), query)
@@ -209,7 +155,7 @@ def _cmd_report(args) -> int:
             print(f"{code}\t{count}")
     elif args.name == "interest":
         if not args.user:
-            args.parser.error("report interest requires --user")
+            raise BadRequest("report interest requires --user")
         interest = analytics.user_interest(snapshot, args.user)
         for label, count in interest.contexts.items():
             print(f"context\t{label}\t{count}")
@@ -302,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--doc", required=True, help="document code")
     p.add_argument("--context", required=True)
     p.add_argument("--user", required=True)
-    p.add_argument("--time", type=_timestamp_arg, help="UTC instant, default now")
+    p.add_argument("--time", help="UTC instant like 2024-01-01T09:00:00Z, default now")
     p.add_argument("--type", required=True, choices=["repetitive", "occasional"])
     p.set_defaults(func=_cmd_usage_log)
 
@@ -311,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cube", help="run one cross-analysis cube query")
     p.add_argument("--fix", action="append", metavar="DIM=VALUE",
-                   help=f"fix a dimension; DIM is one of {', '.join(FIX_DIMENSIONS)}; "
-                        f"time values use {TIME_GRAMMAR}")
+                   help=f"fix a dimension; DIM is one of {', '.join(analytics.FILTER_NAMES)}; "
+                        f"time values use {analytics.TIME_GRAMMAR}")
     p.add_argument("--granularity", default="day", choices=["day", "month", "year"])
     p.set_defaults(func=_cmd_cube)
 
@@ -340,20 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    # Give handlers access to the parser so value errors surface as usage errors.
-    args.parser = parser
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse: usage error or --help
         return int(exc.code or 0)
     except MediaCubeError as exc:
         print(f"{exc.case}: {exc}", file=sys.stderr)
-        return 1
+        return exit_code(exc)
 
 
 def entrypoint() -> None:

@@ -99,9 +99,11 @@ def format_document_code(code: DocumentCode) -> str:
 def parse_document_code(text: str) -> DocumentCode:
     """Parse canonical text into a :class:`DocumentCode`.
 
-    Raises :class:`MalformedCode` for empty input, a bad source identifier,
-    or text that has neither a separator nor a URI scheme.
+    Raises :class:`MalformedCode` for empty or non-string input, a bad
+    source identifier, or text that has neither a separator nor a URI scheme.
     """
+    if not isinstance(text, str):
+        raise MalformedCode(f"document code must be a string, got {text!r}")
     if not text:
         raise MalformedCode("empty document code")
     if text.startswith(URI_SCHEMES):

@@ -654,6 +654,15 @@ def source_to_dict(descriptor: SourceDescriptor) -> dict:
     }
 
 
+def source_record_to_dict(raw: SourceRecord) -> dict:
+    """The raw record behind a code, as ``resolve`` shows it."""
+    return {
+        "source_id": raw.source_id,
+        "local_id": raw.local_id,
+        "raw_fields": dict(raw.raw_fields),
+    }
+
+
 def source_from_dict(data: Mapping) -> SourceDescriptor:
     return SourceDescriptor(
         source_id=data["source_id"],

@@ -2,51 +2,33 @@
 
 Endpoints mirror the CLI: GET /records/{code}, GET /resolve/{code},
 GET /cube, GET /contexts, and POST /usage. Responses use the canonical
-JSON serialization; 400 marks malformed input, 404 not-found, 409
-referential-integrity failures. Only POST /usage mutates the catalog.
+JSON serialization. Every error is answered with a JSON body naming its
+case; the status comes from ``errors.ERROR_TABLE`` (500 for a case not in
+it), except that POST /usage answers 409 where a read would answer 404.
+Only POST /usage mutates the catalog.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from datetime import date
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib.parse import parse_qs, unquote, urlsplit
+from urllib.parse import parse_qsl, unquote, urlsplit
 
 from . import analytics
-from .codes import MalformedCode, parse_document_code
+from .codes import parse_document_code
 from .descriptors import record_to_dict
-from .federation import NotFoundAtSource, UnknownSource
-from .store import (
-    CatalogStore,
-    MalformedEvent,
-    RecordNotFound,
-    UnknownContext,
-    UnknownDocument,
-    UnknownUser,
-    UsageEvent,
-    format_timestamp,
-    parse_timestamp,
-    utc_now,
-)
+from .errors import BadRequest, MediaCubeError, http_status
+from .federation import source_record_to_dict
+from .store import CatalogStore, format_timestamp, parse_usage_event
 
-_NOT_FOUND = (RecordNotFound, UnknownSource, NotFoundAtSource,
-              UnknownDocument, UnknownUser, UnknownContext)
-_MALFORMED = (MalformedCode, MalformedEvent, analytics.InvalidTimeRange,
-              analytics.InvalidGranularity)
+#: Largest request body read; a longer one is answered 413 unread.
+MAX_BODY_BYTES = 64 * 1024
 
 
-class _BadRequest(Exception):
-    pass
-
-
-def _parse_time_param(text: str):
-    if "/" in text:
-        start_text, _, end_text = text.partition("/")
-        return (parse_timestamp(start_text), parse_timestamp(end_text))
-    return date.fromisoformat(text)
+class PayloadTooLarge(MediaCubeError):
+    """A request body over :data:`MAX_BODY_BYTES`."""
 
 
 class CatalogServer(ThreadingHTTPServer):
@@ -59,6 +41,10 @@ class CatalogServer(ThreadingHTTPServer):
         self.catalog_path = Path(catalog_path)
         self.post_lock = threading.Lock()
         super().__init__(address, CatalogRequestHandler)
+
+
+def _no_endpoint(path: str) -> tuple[int, dict]:
+    return 404, {"error": "NotFound", "message": f"no endpoint {path}"}
 
 
 class CatalogRequestHandler(BaseHTTPRequestHandler):
@@ -78,17 +64,12 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error_case(self, status: int, exc: Exception) -> None:
-        case = getattr(exc, "case", type(exc).__name__)
-        self._send_json(status, {"error": case, "message": str(exc)})
-
-    def _single_param(self, params: dict, name: str) -> str | None:
-        values = params.get(name)
-        if values is None:
-            return None
-        if len(values) != 1:
-            raise _BadRequest(f"parameter {name} given more than once")
-        return values[0]
+    def _error_reply(self, exc: Exception, write: bool = False) -> tuple[int, dict]:
+        """Status and body answering ``exc``; call it inside the ``except`` block."""
+        status = http_status(exc, write)
+        if status == 500:  # a program fault: keep its traceback on stderr
+            self.server.handle_error(self.request, self.client_address)
+        return status, {"error": getattr(exc, "case", type(exc).__name__), "message": str(exc)}
 
     # -- GET ------------------------------------------------------------------
 
@@ -96,67 +77,43 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         url = urlsplit(self.path)
         try:
             if url.path == "/contexts":
-                return self._get_contexts()
-            if url.path == "/cube":
-                return self._get_cube(parse_qs(url.query))
-            if url.path.startswith("/records/"):
-                return self._get_record(unquote(url.path[len("/records/"):]))
-            if url.path.startswith("/resolve/"):
-                return self._get_resolve(unquote(url.path[len("/resolve/"):]))
-            self._send_json(404, {"error": "NotFound", "message": f"no endpoint {url.path}"})
-        except _BadRequest as exc:
-            self._send_json(400, {"error": "BadRequest", "message": str(exc)})
-        except _MALFORMED as exc:
-            self._send_error_case(400, exc)
-        except _NOT_FOUND as exc:
-            self._send_error_case(404, exc)
+                reply = self._get_contexts()
+            elif url.path == "/cube":
+                reply = self._get_cube(url.query)
+            elif url.path.startswith("/records/"):
+                reply = self._get_record(unquote(url.path[len("/records/"):]))
+            elif url.path.startswith("/resolve/"):
+                reply = self._get_resolve(unquote(url.path[len("/resolve/"):]))
+            else:
+                reply = _no_endpoint(url.path)
+        except Exception as exc:
+            reply = self._error_reply(exc)
+        self._send_json(*reply)
 
     def _get_record(self, code_text: str):
         record = self.server.store.get_record(parse_document_code(code_text))
-        self._send_json(200, record_to_dict(record))
+        return 200, record_to_dict(record)
 
     def _get_resolve(self, code_text: str):
         raw = self.server.store.sources.resolve(parse_document_code(code_text))
-        self._send_json(200, {
-            "source_id": raw.source_id,
-            "local_id": raw.local_id,
-            "raw_fields": dict(raw.raw_fields),
-        })
+        return 200, source_record_to_dict(raw)
 
     def _get_contexts(self):
-        entries = [
+        return 200, [
             {"label": c.label, "origin": c.origin, "first_seen": format_timestamp(c.first_seen)}
             for c in self.server.store.list_contexts()
         ]
-        self._send_json(200, entries)
 
-    def _get_cube(self, params: dict):
-        known = {"doc", "context", "user", "time", "granularity"}
-        unknown = set(params) - known
-        if unknown:
-            raise _BadRequest(f"unknown query parameters: {', '.join(sorted(unknown))}")
-        fixed: dict[str, object] = {}
-        doc = self._single_param(params, "doc")
-        if doc is not None:
-            fixed["document"] = parse_document_code(doc)
-        context = self._single_param(params, "context")
-        if context is not None:
-            fixed["context"] = context
-        user = self._single_param(params, "user")
-        if user is not None:
-            fixed["user"] = user
-        time_text = self._single_param(params, "time")
-        if time_text is not None:
-            try:
-                fixed["time"] = _parse_time_param(time_text)
-            except ValueError:
-                raise _BadRequest(f"time expects a day or an instant range, got {time_text!r}")
-        granularity = self._single_param(params, "granularity") or "day"
-
-        query = analytics.CubeQuery(fixed=analytics.DimensionFilter(**fixed),
+    def _get_cube(self, query_text: str):
+        pairs = parse_qsl(query_text, keep_blank_values=True)
+        fields = dict(pairs)
+        if len(fields) != len(pairs):
+            raise BadRequest("a query parameter is given more than once")
+        granularity = fields.pop("granularity", "day")
+        query = analytics.CubeQuery(fixed=analytics.parse_filter(fields),
                                     time_granularity=granularity)
         result = analytics.cube_query(self.server.store.snapshot(), query)
-        self._send_json(200, {
+        return 200, {
             "pattern": result.pattern,
             "free_dimensions": list(result.free_dimensions),
             "cells": [
@@ -168,59 +125,39 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
                 for cell in result.cells
             ],
             "total": result.total,
-        })
+        }
 
     # -- POST -----------------------------------------------------------------
 
     def do_POST(self):
         url = urlsplit(self.path)
-        if url.path != "/usage":
-            self._send_json(404, {"error": "NotFound", "message": f"no endpoint {url.path}"})
-            return
         try:
-            event = self._read_usage_event()
-        except _BadRequest as exc:
-            self._send_json(400, {"error": "BadRequest", "message": str(exc)})
-            return
-        except _MALFORMED as exc:
-            self._send_error_case(400, exc)
-            return
-        try:
-            with self.server.post_lock:
-                event_id = self.server.store.record_usage(event)
-                self.server.store.save(self.server.catalog_path)
-        except MalformedEvent as exc:
-            self._send_error_case(400, exc)
-        except (UnknownDocument, UnknownUser) as exc:
-            self._send_error_case(409, exc)
-        else:
-            self._send_json(201, {"event_id": event_id})
+            reply = self._post_usage() if url.path == "/usage" else _no_endpoint(url.path)
+        except Exception as exc:
+            reply = self._error_reply(exc, write=True)
+        self._send_json(*reply)
 
-    def _read_usage_event(self) -> UsageEvent:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _post_usage(self):
+        event = parse_usage_event(self._read_json_object())
+        with self.server.post_lock:
+            event_id = self.server.store.record_usage(event)
+            self.server.store.save(self.server.catalog_path)
+        return 201, {"event_id": event_id}
+
+    def _read_json_object(self) -> dict:
+        length = self.headers.get("Content-Length") or "0"
+        # RFC 7230 §3.3.3: an invalid Content-Length is answered 400.
+        if not (length.isascii() and length.isdigit()):
+            raise BadRequest(f"invalid Content-Length {length!r}")
+        if int(length) > MAX_BODY_BYTES:
+            raise PayloadTooLarge(f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
         try:
-            data = json.loads(self.rfile.read(length).decode("utf-8") or "{}")
+            data = json.loads(self.rfile.read(int(length)).decode("utf-8") or "{}")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise _BadRequest(f"body is not valid JSON: {exc}")
+            raise BadRequest(f"body is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
-            raise _BadRequest("body must be a JSON object")
-        for name in ("document_code", "context", "user_id", "use_type"):
-            if name not in data:
-                raise _BadRequest(f"missing field {name}")
-        if "timestamp" in data:
-            try:
-                timestamp = parse_timestamp(str(data["timestamp"]))
-            except ValueError:
-                raise _BadRequest(f"bad timestamp {data['timestamp']!r}")
-        else:
-            timestamp = utc_now()
-        return UsageEvent(
-            document_code=parse_document_code(str(data["document_code"])),
-            context=str(data["context"]),
-            user_id=str(data["user_id"]),
-            timestamp=timestamp,
-            use_type=str(data["use_type"]),
-        )
+            raise BadRequest("body must be a JSON object")
+        return data
 
 
 def make_server(store: CatalogStore, catalog_path: str | Path,

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 from .codes import DocumentCode, parse_document_code
 from .descriptors import GenericRecord, record_from_dict, record_to_dict, validate_record
-from .errors import MediaCubeError
+from .errors import BadRequest, MediaCubeError
 from .federation import SourceRegistry, source_from_dict, source_to_dict
 
 USE_TYPES = ("repetitive", "occasional")
@@ -102,6 +102,34 @@ class UsageEvent:
     user_id: str
     timestamp: datetime
     use_type: str
+
+
+def parse_usage_event(fields: Mapping[str, object]) -> UsageEvent:
+    """Build an unrecorded event from its text fields; ``timestamp`` defaults to now.
+
+    The one parser of usage input, shared by ``usage-log`` and ``POST /usage``.
+    A missing or non-string field or a malformed timestamp raises
+    :class:`BadRequest`; a code that does not parse raises ``MalformedCode``.
+    """
+    for name in ("document_code", "context", "user_id", "use_type"):
+        if name not in fields:
+            raise BadRequest(f"missing field {name}")
+    for name in ("document_code", "context", "user_id", "use_type", "timestamp"):
+        if not isinstance(fields.get(name, ""), str):
+            raise BadRequest(f"field {name} must be a string, got {fields[name]!r}")
+    text = fields.get("timestamp")
+    try:
+        timestamp = utc_now() if text is None else parse_timestamp(text)
+    except ValueError:
+        raise BadRequest(
+            f"timestamp expects an instant like 2024-01-01T09:00:00Z, got {text!r}") from None
+    return UsageEvent(
+        document_code=parse_document_code(fields["document_code"]),
+        context=fields["context"],
+        user_id=fields["user_id"],
+        timestamp=timestamp,
+        use_type=fields["use_type"],
+    )
 
 
 @dataclass(frozen=True, kw_only=True)

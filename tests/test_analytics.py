@@ -15,6 +15,7 @@ from mediacube.analytics import (
     context_by_social_class,
     cube_query,
     document_importance,
+    parse_filter,
     pattern_id,
     time_bucket,
     usage_evolution,
@@ -22,6 +23,7 @@ from mediacube.analytics import (
     user_interest,
 )
 from mediacube.codes import parse_document_code
+from mediacube.errors import BadRequest
 from mediacube.store import (
     CatalogStore,
     UnknownContext,
@@ -275,3 +277,29 @@ def test_reports_agree_with_cube_reexpression():
             interest = user_interest(snapshot, user_id)
             assert interest.contexts == dict(sorted(contexts.items()))
             assert interest.documents == dict(sorted(documents.items()))
+
+
+# -- the shared filter parser --------------------------------------------------
+
+
+def test_parse_filter_builds_every_dimension():
+    assert parse_filter({}) == DimensionFilter()
+    assert parse_filter({"doc": "fx:d1", "context": "teaching", "user": "u1",
+                         "time": "2024-01-02"}) == DimensionFilter(
+        document=parse_document_code("fx:d1"), context="teaching", user="u1",
+        time=date(2024, 1, 2))
+    start, end = datetime(2024, 1, 1, tzinfo=timezone.utc), datetime(2024, 1, 2, tzinfo=timezone.utc)
+    assert parse_filter({"time": "2024-01-01T00:00:00Z/2024-01-02T00:00:00Z"}).time == (start, end)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"colour": "red"}, "colour"),
+    ({"granularity": "day"}, "granularity"),
+    ({"context": ""}, "non-empty"),
+    ({"time": "2024-13-01"}, "YYYY-MM-DD"),
+    ({"time": "2024-01-01T00:00:00Z/"}, "YYYY-MM-DD"),
+    ({"doc": "NoSeparatorNoScheme"}, "doc:"),
+])
+def test_parse_filter_rejects_bad_input(fields, message):
+    with pytest.raises(BadRequest, match=message):
+        parse_filter(fields)

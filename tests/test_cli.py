@@ -204,3 +204,23 @@ def test_save_and_load(five_event_catalog, tmp_path, capsys):
     assert code == 0
     assert "5 events" in out
     assert fresh.read_bytes() == copy.read_bytes()
+
+
+def test_usage_log_malformed_input_is_usage_error(five_event_catalog, capsys):
+    base = ["--catalog", str(five_event_catalog), "usage-log", "--context", "teaching",
+            "--user", "u1", "--type", "occasional"]
+    code, _, err = run(*base, "--doc", "fx:d1", "--time", "yesterday", capsys=capsys)
+    assert code == 2 and err.startswith("BadRequest: ") and "2024-01-01T09:00:00Z" in err
+    code, _, err = run(*base, "--doc", "not-a-code", capsys=capsys)
+    assert code == 2 and err.startswith("MalformedCode: ")
+    assert len(CatalogStore.load(five_event_catalog).snapshot().events) == 5
+
+
+def test_cube_blank_or_repeated_fix_is_usage_error(five_event_catalog, capsys):
+    for fixes in (["context="], ["context"], ["context=teaching", "context=learning"]):
+        argv = ["--catalog", str(five_event_catalog), "cube"]
+        for fix in fixes:
+            argv += ["--fix", fix]
+        code, out, err = run(*argv, capsys=capsys)
+        assert (code, out) == (2, ""), fixes
+        assert err.startswith("BadRequest: ")

@@ -39,6 +39,12 @@ def test_parse_rejects_malformed(text):
         parse_document_code(text)
 
 
+@pytest.mark.parametrize("value", [123, None, b"s01:doc", ["s01:doc"]])
+def test_parse_rejects_non_string(value):
+    with pytest.raises(MalformedCode, match="must be a string"):
+        parse_document_code(value)
+
+
 def test_unknown_scheme_parses_as_compound():
     # Only http, https, and file mark the URI form; anything else falls
     # back to the compound grammar.

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
+from contextlib import contextmanager
 
 import pytest
 
-from mediacube.service import make_server
+from catalog_fixtures import make_five_event_store, write_tabular_source
+from mediacube.cli import main
+from mediacube.federation import ingest_source
+from mediacube.service import MAX_BODY_BYTES, make_server
 from mediacube.store import CatalogStore
 
 
@@ -159,3 +165,126 @@ def test_gets_are_side_effect_free(served_catalog):
     get(base, "/records/fx:d1")
     get(base, "/contexts")
     assert path.read_bytes() == before
+
+
+# -- the shared front-end layer: every request gets a status and a JSON body --
+
+USAGE = {"document_code": "fx:d1", "context": "fieldwork", "user_id": "u1",
+         "use_type": "occasional", "timestamp": "2024-02-01T00:00:00Z"}
+
+
+@contextmanager
+def serving(store, catalog_path):
+    server = make_server(store, catalog_path, port=0)
+    thread = threading.Thread(
+        target=lambda: server.serve_forever(poll_interval=0.02), daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        yield f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def raw_post(base: str, headers: str, body: bytes = b""):
+    """Send a hand-written POST /usage; return (status, JSON body) or fail on a hang."""
+    host, port = urllib.parse.urlsplit(base).netloc.split(":")
+    request = f"POST /usage HTTP/1.1\r\nHost: {host}\r\n{headers}\r\n".encode() + body
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):  # the server closes after one reply
+            reply += chunk
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1."), reply
+    return int(head.split()[1]), json.loads(payload)
+
+
+@pytest.mark.parametrize("length", ["abc", "-5", "1e3", "+12"])
+def test_post_invalid_content_length_is_bad_request(served_catalog, length):
+    base, _ = served_catalog
+    status, body = raw_post(base, f"Content-Length: {length}\r\n")
+    assert (status, body["error"]) == (400, "BadRequest")
+
+
+def test_post_oversized_body_is_refused_unread(served_catalog):
+    base, path = served_catalog
+    before = path.read_bytes()
+    status, body = raw_post(base, f"Content-Length: {MAX_BODY_BYTES + 1}\r\n")
+    assert (status, body["error"]) == (413, "PayloadTooLarge")
+    assert path.read_bytes() == before
+
+
+def test_post_body_at_the_cap_is_read(served_catalog):
+    base, _ = served_catalog
+    body = json.dumps(USAGE).encode()
+    body += b" " * (MAX_BODY_BYTES - len(body))
+    status, reply = raw_post(base, f"Content-Length: {len(body)}\r\n", body)
+    assert status == 201 and reply == {"event_id": 6}
+
+
+@pytest.mark.parametrize("field", ["document_code", "context", "user_id",
+                                   "use_type", "timestamp"])
+@pytest.mark.parametrize("value", [None, 5])
+def test_post_non_string_field_is_rejected(served_catalog, field, value):
+    base, path = served_catalog
+    before = get(base, "/contexts")
+    status, body = post(base, "/usage", {**USAGE, field: value})
+    assert (status, body["error"]) == (400, "BadRequest")
+    assert get(base, "/contexts") == before
+    assert len(CatalogStore.load(path).snapshot().events) == 5
+
+
+def test_resolve_with_missing_source_file_is_bad_gateway(tmp_path):
+    books = tmp_path / "books.tsv"
+    store = CatalogStore()
+    store.sources.register(write_tabular_source(books, count=3))
+    ingest_source(store, "lib")
+    books.unlink()
+    with serving(store, tmp_path / "catalog.jsonl") as base:
+        status, body = get(base, "/resolve/lib:b001")
+    assert (status, body["error"]) == (502, "SourceUnreachable")
+
+
+def test_post_storage_failure_is_service_unavailable(tmp_path):
+    with serving(make_five_event_store(), tmp_path / "missing" / "catalog.jsonl") as base:
+        status, body = post(base, "/usage", USAGE)
+    assert (status, body["error"]) == (503, "StorageIO")
+
+
+def test_unexpected_failure_is_internal_error(tmp_path):
+    store = make_five_event_store()
+    store.list_contexts = lambda: 1 / 0
+    with serving(store, tmp_path / "catalog.jsonl") as base:
+        status, body = get(base, "/contexts")
+    assert (status, body["error"]) == (500, "ZeroDivisionError")
+
+
+def test_cube_endpoint_rejects_blank_and_repeated_values(served_catalog):
+    base, _ = served_catalog
+    for query in ("context=", "doc=", "user", "time=", "context=teaching&context=learning"):
+        status, body = get(base, f"/cube?{query}")
+        assert (status, body["error"]) == (400, "BadRequest"), query
+    assert get(base, "/cube?granularity=")[0] == 400
+
+
+@pytest.mark.parametrize("fix, case", [
+    ("context=", "BadRequest"),
+    ("colour=red", "BadRequest"),
+    ("time=2024-13-01", "BadRequest"),
+    ("doc=nocode", "BadRequest"),
+    ("user=u9", "UnknownUser"),
+    ("context=fieldwork", "UnknownContext"),
+    ("time=2024-01-02T00:00:00Z/2024-01-01T00:00:00Z", "InvalidTimeRange"),
+])
+def test_cli_and_service_agree_on_bad_filters(served_catalog, capsys, fix, case):
+    base, path = served_catalog
+    dim, _, value = fix.partition("=")
+    status, body = get(base, "/cube?" + urllib.parse.urlencode({dim: value}))
+    code = main(["--catalog", str(path), "cube", "--fix", fix])
+    err = capsys.readouterr().err
+    assert body["error"] == case and err.startswith(f"{case}: ")
+    expected = {"BadRequest": (400, 2), "UnknownUser": (404, 1),
+                "UnknownContext": (404, 1), "InvalidTimeRange": (400, 1)}[case]
+    assert (status, code) == expected

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from datetime import datetime, timezone
 
 import pytest
@@ -368,3 +369,17 @@ def test_concurrent_readers_see_consistent_snapshots():
         t.join()
     assert problems == []
     assert len(store.snapshot().events) == 300
+
+
+def test_load_rejects_non_string_document_code(tmp_path):
+    path = tmp_path / "catalog.jsonl"
+    make_five_event_store().save(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    event = json.loads(lines[-1])
+    event["document_code"] = 123
+    lines[-1] = json.dumps(event, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(CorruptCatalog) as err:
+        CatalogStore.load(path)
+    assert err.value.line_number == len(lines)
+    assert "123" in str(err.value)
