@@ -172,14 +172,14 @@ class FieldSpec:
     kind: str = LABEL
     required: bool = False
     vocabulary: str | None = None
+    # The two halves of ``path``, split once here rather than on every read.
+    medium: str = dataclasses.field(init=False, repr=False, compare=False)
+    attribute: str = dataclasses.field(init=False, repr=False, compare=False)
 
-    @property
-    def medium(self) -> str:
-        return self.path.split(".", 1)[0]
-
-    @property
-    def attribute(self) -> str:
-        return self.path.split(".", 1)[1]
+    def __post_init__(self):
+        medium, _, attribute = self.path.partition(".")
+        object.__setattr__(self, "medium", medium)
+        object.__setattr__(self, "attribute", attribute)
 
 
 SCHEMA_FIELDS: dict[str, FieldSpec] = {
@@ -217,9 +217,15 @@ SCHEMA_FIELDS: dict[str, FieldSpec] = {
 }
 
 
+#: The schema fields of each medium, in ``SCHEMA_FIELDS`` order.
+MEDIUM_FIELDS: dict[str, tuple[FieldSpec, ...]] = {
+    medium: tuple(f for f in SCHEMA_FIELDS.values() if f.medium == medium) for medium in MEDIA
+}
+
+
 def required_fields(medium: str) -> list[str]:
     """Dotted paths of the fields a descriptor of ``medium`` must populate."""
-    return [p for p, f in SCHEMA_FIELDS.items() if f.medium == medium and f.required]
+    return [f.path for f in MEDIUM_FIELDS[medium] if f.required]
 
 
 # ---------------------------------------------------------------------------
@@ -288,39 +294,43 @@ def validate_record(
                 message=f"{medium} descriptor {detail} {record.media_class.token}",
             ))
 
-    for path, spec in SCHEMA_FIELDS.items():
-        descriptor = record.descriptor(spec.medium)
+    known = None if known_codes is None else set(known_codes)
+
+    for medium in MEDIA:
+        descriptor = record.descriptor(medium)
         if descriptor is None:
             continue
-        value = getattr(descriptor, spec.attribute)
-        if value is None or value == () or value == "":
-            if spec.required:
-                violations.append(Problem(path, "required-field", f"{path} is required"))
-            continue
-        if spec.kind == DATE:
-            if not _is_calendar_date(value):
-                violations.append(Problem(path, "date", f"{path} is not a calendar date: {value!r}"))
-            continue
-        if spec.kind == CODES:
-            if known_codes is not None:
-                known = set(known_codes)
-                for ref in value:
-                    if format_document_code(ref) not in known:
-                        warnings.append(Problem(
-                            path, "dangling-reference",
-                            f"{path} references unknown document {ref}",
-                        ))
-            continue
-        if spec.kind == LABELS:
-            continue
-        vocab = vocabs.get(spec.vocabulary) if spec.vocabulary else None
-        if vocab is not None and value not in vocab:
-            problem = Problem(
-                path,
-                "open-vocabulary" if vocab.open else "vocabulary",
-                f"{path} value {value!r} not in {vocab.name} vocabulary",
-            )
-            (warnings if vocab.open else violations).append(problem)
+        for spec in MEDIUM_FIELDS[medium]:
+            path = spec.path
+            value = getattr(descriptor, spec.attribute)
+            if value is None or value == () or value == "":
+                if spec.required:
+                    violations.append(Problem(path, "required-field", f"{path} is required"))
+                continue
+            if spec.kind == DATE:
+                if not _is_calendar_date(value):
+                    violations.append(
+                        Problem(path, "date", f"{path} is not a calendar date: {value!r}"))
+                continue
+            if spec.kind == CODES:
+                if known is not None:
+                    for ref in value:
+                        if format_document_code(ref) not in known:
+                            warnings.append(Problem(
+                                path, "dangling-reference",
+                                f"{path} references unknown document {ref}",
+                            ))
+                continue
+            if spec.kind == LABELS:
+                continue
+            vocab = vocabs.get(spec.vocabulary) if spec.vocabulary else None
+            if vocab is not None and value not in vocab:
+                problem = Problem(
+                    path,
+                    "open-vocabulary" if vocab.open else "vocabulary",
+                    f"{path} value {value!r} not in {vocab.name} vocabulary",
+                )
+                (warnings if vocab.open else violations).append(problem)
 
     image = record.image
     if image is not None:

@@ -40,6 +40,7 @@ ERROR_TABLE: dict[str, tuple[int, int]] = {
     "UnknownContext": (404, 1),
     "DuplicateSource": (409, 1),
     "SourceDisabled": (409, 1),
+    "RequestTimeout": (408, 1),
     "PayloadTooLarge": (413, 1),
     "CorruptCatalog": (500, 1),
     "SourceUnreachable": (502, 1),

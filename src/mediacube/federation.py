@@ -23,8 +23,9 @@ import socket
 import threading
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .codes import DocumentCode, MalformedCode, SOURCE_ID_PATTERN, parse_document_code
 from .descriptors import (
@@ -47,6 +48,8 @@ ADAPTER_KINDS = ("tabular", "file-tree", "remote-line")
 TRANSFORMS = ("identity", "lowercase", "date-parse", "split-list")
 
 REMOTE_TIMEOUT = 10.0
+#: Remote-line GETs kept in flight during a harvest.
+GET_WINDOW = 64
 
 
 class DuplicateSource(MediaCubeError):
@@ -349,42 +352,45 @@ def _parse_meta_lines(lines, locator: str) -> dict[str, str]:
     return fields
 
 
-def _harvest_tabular(descriptor: SourceDescriptor) -> HarvestResult:
+def _tabular_rows(descriptor: SourceDescriptor) -> Iterator[tuple[int, str | None, dict | str]]:
+    """Read a tabular source row by row, yielding ``(line number, local_id, row)``.
+
+    ``row`` is the raw fields of a well-formed row, or the problem message of
+    a malformed one, whose local_id is then None. Blank lines are skipped.
+    """
     path = Path(descriptor.location)
     try:
-        text = path.read_text(encoding="utf-8")
+        handle = path.open(encoding="utf-8")
     except OSError as exc:
         raise SourceUnreachable(f"{descriptor.source_id}: cannot open {path}: {exc}") from exc
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        return HarvestResult(descriptor.source_id, ())
-    header = lines[0].split("\t")
-    id_column = header.index("local_id") if "local_id" in header else 0
+    with handle:
+        first = next(handle, None)
+        if first is None:
+            return
+        header = first.rstrip("\n").split("\t")
+        id_column = header.index("local_id") if "local_id" in header else 0
+        for line_no, line in enumerate(handle, start=2):
+            cells = line.rstrip("\n").split("\t")
+            if cells == [""]:
+                continue
+            if len(cells) != len(header):
+                yield line_no, None, f"expected {len(header)} columns, got {len(cells)}"
+            elif not cells[id_column]:
+                yield line_no, None, "empty local_id"
+            else:
+                yield line_no, cells[id_column], dict(zip(header, cells))
 
+
+def _harvest_tabular(descriptor: SourceDescriptor) -> HarvestResult:
     records: dict[str, SourceRecord] = {}
     problems: list[RecordProblem] = []
-
-    def problem(line_no: int, message: str):
-        problems.append(RecordProblem(f"line {line_no}", "MalformedSourceRecord", message))
-
-    for line_no, line in enumerate(lines[1:], start=2):
-        if line == "":
-            continue
-        cells = line.split("\t")
-        if len(cells) != len(header):
-            problem(line_no, f"expected {len(header)} columns, got {len(cells)}")
-            continue
-        local_id = cells[id_column]
-        if not local_id:
-            problem(line_no, "empty local_id")
-            continue
+    for line_no, local_id, row in _tabular_rows(descriptor):
         if local_id in records:
-            problem(line_no, f"duplicate local_id {local_id!r}")
-            continue
-        records[local_id] = SourceRecord(descriptor.source_id, local_id, dict(zip(header, cells)))
-
+            row = f"duplicate local_id {local_id!r}"
+        if isinstance(row, str):
+            problems.append(RecordProblem(f"line {line_no}", "MalformedSourceRecord", row))
+        else:
+            records[local_id] = SourceRecord(descriptor.source_id, local_id, row)
     ordered = tuple(records[k] for k in sorted(records))
     return HarvestResult(descriptor.source_id, ordered, tuple(problems))
 
@@ -423,16 +429,22 @@ class _LineClient:
         self._reader = self._sock.makefile("r", encoding="utf-8", newline="\n")
         self._writer = self._sock.makefile("w", encoding="utf-8", newline="\n")
 
-    def request(self, command: str) -> list[str]:
-        """Send one command, return the reply lines up to the blank line.
+    def send(self, *commands: str) -> None:
+        """Send ``commands`` without waiting; :meth:`reply` reads their replies in order."""
+        try:
+            self._writer.write("".join(f"{command}\n" for command in commands))
+            self._writer.flush()
+        except OSError as exc:
+            raise SourceUnreachable(f"remote endpoint failed: {exc}") from exc
+
+    def reply(self) -> list[str]:
+        """Read the next reply: its lines up to the blank line.
 
         An ``ERR <msg>`` reply is a single line with no blank terminator,
-        so the stream stays aligned for the next request.
+        so the stream stays aligned for the next reply.
         """
+        lines: list[str] = []
         try:
-            self._writer.write(command + "\n")
-            self._writer.flush()
-            lines: list[str] = []
             while True:
                 line = self._reader.readline()
                 if line == "":
@@ -445,6 +457,11 @@ class _LineClient:
                 lines.append(line)
         except OSError as exc:
             raise SourceUnreachable(f"remote endpoint failed: {exc}") from exc
+
+    def request(self, command: str) -> list[str]:
+        """Send one command and return its reply."""
+        self.send(command)
+        return self.reply()
 
     def close(self):
         try:
@@ -472,15 +489,20 @@ def _parse_endpoint(location: str) -> tuple[str, int]:
 def _harvest_remote_line(descriptor: SourceDescriptor) -> HarvestResult:
     with _LineClient(descriptor.location) as client:
         try:
-            local_ids = [line for line in client.request("LIST") if line]
+            local_ids = sorted({line for line in client.request("LIST") if line})
         except _RemoteFailure as exc:
             raise SourceUnreachable(f"{descriptor.source_id}: LIST failed: {exc}") from exc
         records: list[SourceRecord] = []
         problems: list[RecordProblem] = []
-        for local_id in sorted(set(local_ids)):
+        # A sliding window of GET_WINDOW requests in flight: one more goes out
+        # as each reply is read, so replies do not wait one round trip each
+        # (pipelining, as in RFC 7230 §6.3.2).
+        gets = (f"GET {local_id}" for local_id in local_ids)
+        client.send(*islice(gets, GET_WINDOW - 1))
+        for local_id in local_ids:
+            client.send(*islice(gets, 1))
             try:
-                lines = client.request(f"GET {local_id}")
-                fields = _parse_meta_lines(lines, local_id)
+                fields = _parse_meta_lines(client.reply(), local_id)
             except _RemoteFailure as exc:
                 problems.append(RecordProblem(local_id, "NotFoundAtSource", str(exc)))
             except ValueError as exc:
@@ -515,9 +537,10 @@ def _fetch_one(descriptor: SourceDescriptor, local_id: str) -> SourceRecord:
             except (_RemoteFailure, ValueError) as exc:
                 raise NotFoundAtSource(f"{descriptor.source_id}:{local_id}: {exc}") from exc
         return SourceRecord(descriptor.source_id, local_id, fields)
-    for record in _harvest_tabular(descriptor).records:
-        if record.local_id == local_id:
-            return record
+    # The first well-formed row with the id is the one a harvest keeps.
+    for _, row_id, row in _tabular_rows(descriptor):
+        if row_id == local_id:
+            return SourceRecord(descriptor.source_id, local_id, row)
     raise NotFoundAtSource(f"{descriptor.source_id}:{local_id}")
 
 
@@ -626,16 +649,29 @@ def mapping_to_dict(mapping: FieldMapping) -> dict:
     return out
 
 
+def _rule_objects(data: Mapping, key: str) -> list[Mapping]:
+    entries = data.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, Mapping) for e in entries):
+        raise InvalidMapping(f"mapping {key!r} must be a list of objects")
+    return entries
+
+
 def mapping_from_dict(data: Mapping) -> FieldMapping:
-    presence = tuple(
-        PresenceRule(medium=r["medium"], field=r["field"], equals=r.get("equals"))
-        for r in data.get("presence", [])
-    )
-    rules = tuple(
-        FieldRule(source=r["source"], target=r["target"],
-                  transform=r.get("transform", "identity"))
-        for r in data.get("fields", [])
-    )
+    """Build a mapping from its JSON form; :class:`InvalidMapping` if it is malformed."""
+    if not isinstance(data, Mapping):
+        raise InvalidMapping(f"a mapping must be a JSON object, got {type(data).__name__}")
+    try:
+        presence = tuple(
+            PresenceRule(medium=r["medium"], field=r["field"], equals=r.get("equals"))
+            for r in _rule_objects(data, "presence")
+        )
+        rules = tuple(
+            FieldRule(source=r["source"], target=r["target"],
+                      transform=r.get("transform", "identity"))
+            for r in _rule_objects(data, "fields")
+        )
+    except KeyError as exc:
+        raise InvalidMapping(f"a mapping rule has no {exc} key") from None
     return FieldMapping(
         presence_rules=presence,
         field_rules=rules,

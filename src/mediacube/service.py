@@ -25,10 +25,16 @@ from .store import CatalogStore, format_timestamp, parse_usage_event
 
 #: Largest request body read; a longer one is answered 413 unread.
 MAX_BODY_BYTES = 64 * 1024
+#: Seconds a connection may stay silent; a body late by more is answered 408.
+REQUEST_TIMEOUT_S = 10.0
 
 
 class PayloadTooLarge(MediaCubeError):
     """A request body over :data:`MAX_BODY_BYTES`."""
+
+
+class RequestTimeout(MediaCubeError):
+    """A request body that did not arrive within :data:`REQUEST_TIMEOUT_S`."""
 
 
 class CatalogServer(ThreadingHTTPServer):
@@ -49,6 +55,9 @@ def _no_endpoint(path: str) -> tuple[int, dict]:
 
 class CatalogRequestHandler(BaseHTTPRequestHandler):
     server: CatalogServer
+    # Socket timeout: headers that never complete close the connection
+    # (BaseHTTPRequestHandler), a body that never completes gets 408.
+    timeout = REQUEST_TIMEOUT_S
 
     # -- plumbing -------------------------------------------------------------
 
@@ -152,7 +161,11 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         if int(length) > MAX_BODY_BYTES:
             raise PayloadTooLarge(f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
         try:
-            data = json.loads(self.rfile.read(int(length)).decode("utf-8") or "{}")
+            body = self.rfile.read(int(length))
+        except TimeoutError:
+            raise RequestTimeout(f"body of {length} bytes not sent in {self.timeout} s") from None
+        try:
+            data = json.loads(body.decode("utf-8") or "{}")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise BadRequest(f"body is not valid JSON: {exc}") from None
         if not isinstance(data, dict):

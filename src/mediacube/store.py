@@ -210,10 +210,12 @@ class CatalogStore:
     # -- generic records ----------------------------------------------------
 
     def put_record(self, record: GenericRecord) -> None:
-        """Insert or replace a record; it must validate with no violations."""
+        """Insert or replace a record; it must validate with no violations.
+
+        Related-document references are not checked: a dangling one is accepted.
+        """
         with self._lock:
-            known = set(self._records) | {str(record.document_code)}
-            report = validate_record(record, known_codes=known)
+            report = validate_record(record)
             if not report.ok:
                 details = "; ".join(f"{p.field}: {p.message}" for p in report.violations)
                 raise RecordInvalid(f"{record.document_code}: {details}")

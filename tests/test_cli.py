@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from catalog_fixtures import write_tabular_source
 from mediacube.cli import main
 from mediacube.federation import mapping_to_dict
@@ -224,3 +226,22 @@ def test_cube_blank_or_repeated_fix_is_usage_error(five_event_catalog, capsys):
         code, out, err = run(*argv, capsys=capsys)
         assert (code, out) == (2, ""), fixes
         assert err.startswith("BadRequest: ")
+
+
+@pytest.mark.parametrize("mapping", [
+    [1],
+    "text",
+    {"presence": [1], "fields": []},
+    {"presence": [{"medium": "text", "field": "kind"}], "fields": ["title"]},
+    {"presence": {"medium": "text"}},
+    {"presence": [{"medium": "text"}]},
+])
+def test_source_register_malformed_mapping_is_invalid_mapping(tmp_path, capsys, mapping):
+    mapping_file = tmp_path / "mapping.json"
+    mapping_file.write_text(json.dumps(mapping), encoding="utf-8")
+    code, out, err = run("--catalog", str(tmp_path / "catalog.jsonl"), "source-register",
+                         "--source-id", "lib", "--kind", "tabular",
+                         "--location", str(tmp_path / "books.tsv"),
+                         "--mapping", str(mapping_file), capsys=capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("InvalidMapping: ") and err.count("\n") == 1

@@ -6,6 +6,7 @@ import pytest
 
 import mediacube.cli  # noqa: F401  (loads every module, the service's error cases too)
 from mediacube.errors import ERROR_TABLE, UNLISTED, MediaCubeError, exit_code, http_status
+from mediacube.service import RequestTimeout
 from mediacube.store import UnknownUser
 
 # Raised only while mapping or storing one harvested record: ingest_source
@@ -60,3 +61,7 @@ def test_unlisted_failures_are_internal_errors():
     assert http_status(ZeroDivisionError()) == 500
     assert http_status(ZeroDivisionError(), write=True) == 500
     assert exit_code(KeyError("x")) == 1
+
+
+def test_request_timeout_row():
+    assert (http_status(RequestTimeout("late")), exit_code(RequestTimeout("late"))) == (408, 1)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import socketserver
+import threading
+import time
+from contextlib import contextmanager
 from datetime import date
 
 import pytest
@@ -16,6 +20,7 @@ from catalog_fixtures import (
     write_file_tree_source,
     write_tabular_source,
 )
+from mediacube import federation
 from mediacube.codes import parse_document_code
 from mediacube.federation import (
     DuplicateSource,
@@ -328,3 +333,144 @@ def test_source_descriptor_bad_kind_rejected(tmp_path):
                                   location="nowhere", mapping=BOOK_MAPPING)
     with pytest.raises(InvalidMapping):
         SourceRegistry().register(descriptor)
+
+
+# -- windowed remote-line harvest ------------------------------------------------
+
+
+class _ScriptedLineHandler(socketserver.StreamRequestHandler):
+    """LIST names every scripted id; GET answers the scripted reply, in one write."""
+
+    def handle(self):
+        replies = self.server.replies
+        for raw in self.rfile:
+            command = raw.decode("utf-8").rstrip("\n")
+            if command == "LIST":
+                reply = "".join(f"{local_id}\n" for local_id in replies) + "\n"
+            else:
+                reply = replies.get(command.removeprefix("GET "), "ERR unknown command\n")
+            self.wfile.write(reply.encode("utf-8"))
+
+
+@contextmanager
+def scripted_line_server(replies: dict[str, str]):
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _ScriptedLineHandler)
+    server.daemon_threads = True
+    server.replies = replies
+    thread = threading.Thread(target=lambda: server.serve_forever(poll_interval=0.02),
+                              daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        yield f"{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_remote_harvest_larger_than_the_window():
+    records = sound_records(count=2 * federation.GET_WINDOW + 7)
+    with LineSourceServer(records) as server:
+        result = registry_with(remote_source(server.endpoint)).harvest("radio")
+    assert [r.local_id for r in result.records] == sorted(records)
+    assert all(r.raw_fields == records[r.local_id] for r in result.records)
+    assert result.problems == ()
+
+
+def test_windowed_harvest_matches_lockstep_on_err_and_malformed(monkeypatch):
+    replies = {f"s{i:03d}": f"artist\tA{i}\nstype\tMUSIC\n\n"
+               for i in range(federation.GET_WINDOW + 20)}
+    replies["s003"] = "ERR gone\n"
+    replies["s010"] = "artist\tA\nno separator here\n\n"
+    replies["s050"] = "ERR also gone\n"
+    replies["s070"] = "\n"  # an empty reply: a record with no fields
+    replies["s071"] = "ERR last\n"
+    with scripted_line_server(replies) as endpoint:
+        registry = registry_with(remote_source(endpoint))
+        windowed = registry.harvest("radio")
+        monkeypatch.setattr(federation, "GET_WINDOW", 1)  # one GET per round trip
+        lockstep = registry.harvest("radio")
+    assert windowed == lockstep
+    assert [(p.locator, p.case) for p in windowed.problems] == [
+        ("s003", "NotFoundAtSource"), ("s010", "MalformedSourceRecord"),
+        ("s050", "NotFoundAtSource"), ("s071", "NotFoundAtSource")]
+    assert len(windowed.records) == len(replies) - 4
+    by_id = {r.local_id: r.raw_fields for r in windowed.records}
+    assert by_id["s070"] == {} and by_id["s069"] == {"artist": "A69", "stype": "MUSIC"}
+
+
+def test_linewise_remote_harvest_does_not_stall_per_record():
+    # The fixture endpoint writes each reply line separately; one GET per
+    # round trip waits on a delayed ACK for every record.
+    records = sound_records(count=100)
+    with LineSourceServer(records) as server:
+        registry = registry_with(remote_source(server.endpoint))
+        started = time.monotonic()
+        result = registry.harvest("radio")
+        elapsed = time.monotonic() - started
+    assert len(result.records) == 100
+    assert elapsed < 1.5, f"harvest of 100 records took {elapsed:.2f} s"
+
+
+# -- single-scan tabular resolve ---------------------------------------------------
+
+_HEADER = "local_id\tkind\ttitle\n"
+
+
+def tabular_source(path, body: str, newline: str = "\n") -> SourceRegistry:
+    path.write_bytes((_HEADER + body).replace("\n", newline).encode("utf-8"))
+    mapping = FieldMapping(
+        presence_rules=(PresenceRule(medium="text", field="kind", equals="book"),),
+        field_rules=(FieldRule(source="title", target="text.title"),))
+    return registry_with(SourceDescriptor(source_id="s01", kind="tabular",
+                                          location=str(path), mapping=mapping))
+
+
+def resolved_and_harvested(registry: SourceRegistry, local_id: str):
+    harvested = {r.local_id: r for r in registry.harvest("s01").records}
+    return registry.resolve(parse_document_code(f"s01:{local_id}")), harvested[local_id]
+
+
+def test_tabular_resolve_duplicate_id_first_row_wins(tmp_path):
+    registry = tabular_source(tmp_path / "t.tsv",
+                              "b1\tbook\tFirst\nb2\tbook\tOther\nb1\tbook\tSecond\n")
+    resolved, harvested = resolved_and_harvested(registry, "b1")
+    assert resolved == harvested
+    assert resolved.raw_fields["title"] == "First"
+
+
+def test_tabular_resolve_skips_a_malformed_row_before_the_good_one(tmp_path):
+    registry = tabular_source(tmp_path / "t.tsv",
+                              "b1\tbook\n\tbook\tNo id\n\nb1\tbook\tGood\n")
+    resolved, harvested = resolved_and_harvested(registry, "b1")
+    assert resolved == harvested
+    assert resolved.raw_fields == {"local_id": "b1", "kind": "book", "title": "Good"}
+
+
+def test_tabular_resolve_reads_crlf_input_as_harvest_does(tmp_path):
+    body = "b1\tbook\tOne\nb2\tbook\tTwo\n"
+    crlf = tabular_source(tmp_path / "crlf.tsv", body, newline="\r\n")
+    lf = tabular_source(tmp_path / "lf.tsv", body)
+    resolved, harvested = resolved_and_harvested(crlf, "b2")
+    assert resolved == harvested
+    assert resolved == lf.resolve(parse_document_code("s01:b2"))
+    assert resolved.raw_fields["title"] == "Two"
+
+
+def test_tabular_resolve_missing_id_and_missing_file(tmp_path):
+    registry = tabular_source(tmp_path / "t.tsv", "b1\tbook\tOne\n")
+    with pytest.raises(NotFoundAtSource):
+        registry.resolve(parse_document_code("s01:ghost"))
+    (tmp_path / "t.tsv").unlink()
+    with pytest.raises(SourceUnreachable):
+        registry.resolve(parse_document_code("s01:b1"))
+
+
+def test_tabular_resolve_stops_at_the_matching_row(tmp_path):
+    # Bytes that are not UTF-8, far past the match: a scan that read on
+    # to the end of the file would fail on them.
+    path = tmp_path / "t.tsv"
+    registry = tabular_source(path, "b1\tbook\tOne\n" + "bx\tbook\tPad\n" * 20_000)
+    with path.open("ab") as handle:
+        handle.write(b"b9\tbook\t\xff\n")
+    assert registry.resolve(parse_document_code("s01:b1")).raw_fields["title"] == "One"

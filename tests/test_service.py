@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -13,7 +14,12 @@ import pytest
 from catalog_fixtures import make_five_event_store, write_tabular_source
 from mediacube.cli import main
 from mediacube.federation import ingest_source
-from mediacube.service import MAX_BODY_BYTES, make_server
+from mediacube.service import (
+    MAX_BODY_BYTES,
+    REQUEST_TIMEOUT_S,
+    CatalogRequestHandler,
+    make_server,
+)
 from mediacube.store import CatalogStore
 
 
@@ -288,3 +294,26 @@ def test_cli_and_service_agree_on_bad_filters(served_catalog, capsys, fix, case)
     expected = {"BadRequest": (400, 2), "UnknownUser": (404, 1),
                 "UnknownContext": (404, 1), "InvalidTimeRange": (400, 1)}[case]
     assert (status, code) == expected
+
+
+def test_post_short_body_times_out_with_408(served_catalog, monkeypatch):
+    base, path = served_catalog
+    before = path.read_bytes()
+    assert CatalogRequestHandler.timeout == REQUEST_TIMEOUT_S > 0
+    monkeypatch.setattr(CatalogRequestHandler, "timeout", 0.5)
+    started = time.monotonic()
+    status, body = raw_post(base, "Content-Length: 10\r\n", b"{}")
+    assert (status, body["error"]) == (408, "RequestTimeout")
+    assert time.monotonic() - started < 3.0
+    assert path.read_bytes() == before
+
+
+def test_unfinished_headers_close_the_connection(served_catalog, monkeypatch):
+    base, _ = served_catalog
+    monkeypatch.setattr(CatalogRequestHandler, "timeout", 0.5)
+    host, port = urllib.parse.urlsplit(base).netloc.split(":")
+    started = time.monotonic()
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(b"POST /usage HTTP/1.1\r\nHost: x\r\n")  # no blank line
+        assert sock.recv(65536) == b""
+    assert time.monotonic() - started < 3.0

@@ -383,3 +383,22 @@ def test_load_rejects_non_string_document_code(tmp_path):
         CatalogStore.load(path)
     assert err.value.line_number == len(lines)
     assert "123" in str(err.value)
+
+
+def test_put_record_checks_each_record_alone_as_the_catalog_grows():
+    # Every record refers to the next one, which is not stored yet: the
+    # reference dangles at put time and is accepted; an invalid record is
+    # still refused however many records the store holds.
+    store = CatalogStore()
+    for i in range(300):
+        store.put_record(GenericRecord(
+            document_code=DocumentCode.compound("fx", f"d{i}"),
+            media_class=MediaClass.TEXT,
+            text=TextDescriptor(title=f"T{i}", related_documents=(
+                DocumentCode.compound("fx", f"d{i + 1}"),)),
+        ))
+    assert len(store.snapshot().records) == 300
+    bad = dataclasses.replace(text_record("d9"), media_class=MediaClass.TEXT_SOUND)
+    with pytest.raises(RecordInvalid, match="sound descriptor implied by class but missing"):
+        store.put_record(bad)
+    assert store.get_record("fx:d9").text.title == "T9"
