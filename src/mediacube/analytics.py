@@ -189,14 +189,14 @@ def _group(snapshot: CatalogSnapshot, fixed: DimensionFilter, keys: tuple[str, .
     if isinstance(fixed.time, date):
         wanted.append((columns["time"], fixed.time.isoformat()))
 
-    rows: range | list[int] = range(len(snapshot.events))
+    rows: range | list[int] = range(len(snapshot.event_ids))
     def pick(column):  # the column's values at ``rows``, in row order
         return column if isinstance(rows, range) else map(column.__getitem__, rows)
     for column, value in wanted:
         rows = list(compress(rows, map(value.__eq__, pick(column))))
     if isinstance(fixed.time, tuple):
-        start, end = fixed.time
-        rows = [i for i in rows if start <= snapshot.events[i].timestamp < end]
+        start, end = (instant.timestamp() for instant in fixed.time)  # exact: whole seconds
+        rows = [i for i in rows if start <= snapshot.event_seconds[i] < end]
 
     label = itemgetter(slice(_LABEL_WIDTH[granularity]))  # day label -> bucket label
     values = [map(label, pick(columns[k])) if k == "time" else pick(columns[k]) for k in keys]

@@ -185,7 +185,7 @@ def _cmd_load(args) -> int:
     path = _catalog_path(args)
     store.save(path)
     snapshot = store.snapshot()
-    print(f"loaded {len(snapshot.records)} records, {len(snapshot.events)} events, "
+    print(f"loaded {len(snapshot.records)} records, {len(snapshot.event_ids)} events, "
           f"{len(snapshot.users)} users, {len(snapshot.contexts)} contexts")
     return 0
 

@@ -149,8 +149,7 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
     def _post_usage(self):
         event = parse_usage_event(self._read_json_object())
         with self.server.post_lock:
-            event_id = self.server.store.record_usage(event)
-            self.server.store.save(self.server.catalog_path)
+            event_id = self.server.store.record_usage_and_save(event, self.server.catalog_path)
         return 201, {"event_id": event_id}
 
     def _read_json_object(self) -> dict:

@@ -5,18 +5,22 @@ any number of readers may hold concurrently. The canonical on-disk form is
 UTF-8 JSON Lines, one object per line with a ``kind`` discriminator, keys
 in lexicographic order, sections ordered sources, records, users, contexts,
 events. Saving the same snapshot twice yields byte-identical files.
+
+The event log is held as columns, not as :class:`UsageEvent` objects: event
+ids and UTC epoch seconds in ``array('q')``, and the code text, context,
+user, use type and day label each dictionary-encoded in an ``array('i')``.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 import threading
-from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
-from operator import attrgetter
+from array import array
+from dataclasses import dataclass, field
+from datetime import datetime, timedelta, timezone
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .codes import DocumentCode, parse_document_code
 from .descriptors import GenericRecord, record_from_dict, record_to_dict, validate_record
@@ -28,6 +32,7 @@ STATIC_CONTEXTS = ("teaching", "learning", "documentation", "entertainment")
 
 #: first_seen for the four static contexts: they predate every event log.
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
 
 
 class RecordInvalid(MediaCubeError):
@@ -87,6 +92,11 @@ def format_timestamp(value: datetime) -> str:
 def parse_timestamp(text: str) -> datetime:
     """Parse an ISO 8601 UTC instant with a trailing ``Z``."""
     return normalize_timestamp(datetime.fromisoformat(text.replace("Z", "+00:00")))
+
+
+def _instant(seconds: int) -> datetime:
+    """The UTC instant ``seconds`` after the Unix epoch; works before 1970 too."""
+    return _EPOCH + timedelta(seconds=seconds)
 
 
 @dataclass(frozen=True, kw_only=True, slots=True)
@@ -151,37 +161,71 @@ class ContextEntry:
 class CatalogSnapshot:
     """An immutable, internally consistent view handed to analytics.
 
-    Besides the event tuple it carries one column per event key, each
-    parallel to ``events``: the canonical document-code text, the UTC day
-    label (``YYYY-MM-DD``), the context, the user, the use type and the
-    event id. Analytics groups over these columns instead of the events.
+    The events come as columns, all in event order: the event id, the UTC
+    epoch seconds, the canonical document-code text, the context, the user,
+    the use type and the UTC day label (``YYYY-MM-DD``). Analytics groups
+    over these columns; ``events`` builds the objects on first read.
     """
 
     records: tuple[GenericRecord, ...]
-    events: tuple[UsageEvent, ...]
     users: tuple[UserProfile, ...]
     contexts: tuple[ContextEntry, ...]
-    event_codes: tuple[str, ...] = field(compare=False, repr=False)
-    event_days: tuple[str, ...] = field(compare=False, repr=False)
+    event_ids: array
+    event_seconds: array
+    event_codes: tuple[str, ...]
+    event_contexts: tuple[str, ...]
+    event_users: tuple[str, ...]
+    event_use_types: tuple[str, ...]
+    event_days: tuple[str, ...] = field(compare=False, repr=False)  # from event_seconds
 
     # Derived from the value fields; excluded from equality.
-    event_contexts: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    event_users: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    event_use_types: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    event_ids: tuple[int, ...] = field(init=False, compare=False, repr=False)
     record_by_code: Mapping[str, GenericRecord] = field(init=False, compare=False, repr=False)
     user_by_id: Mapping[str, UserProfile] = field(init=False, compare=False, repr=False)
     context_labels: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name, attr in (("event_contexts", "context"), ("event_users", "user_id"),
-                           ("event_use_types", "use_type"), ("event_ids", "event_id")):
-            object.__setattr__(self, name, tuple(map(attrgetter(attr), self.events)))
         object.__setattr__(self, "record_by_code",
                            {str(r.document_code): r for r in self.records})
         object.__setattr__(self, "user_by_id", {u.user_id: u for u in self.users})
         object.__setattr__(self, "context_labels",
                            frozenset(c.label for c in self.contexts))
+
+    @cached_property
+    def events(self) -> tuple[UsageEvent, ...]:
+        """The event log as objects, built from the columns on first read."""
+        # Every event's code text is a record key, so the record has its code.
+        codes = {text: self.record_by_code[text].document_code for text in set(self.event_codes)}
+        return tuple(
+            UsageEvent(event_id=event_id, document_code=codes[code], context=context,
+                       user_id=user_id, timestamp=_instant(seconds), use_type=use_type)
+            for event_id, seconds, code, context, user_id, use_type in zip(
+                self.event_ids, self.event_seconds, self.event_codes, self.event_contexts,
+                self.event_users, self.event_use_types))
+
+
+class _Column:
+    """An append-only, dictionary-encoded string column.
+
+    ``indices`` holds one entry per row: the position in ``values``, the
+    distinct strings in order of first appearance. Iterating decodes the rows.
+    """
+
+    __slots__ = ("indices", "values", "_index")
+
+    def __init__(self):
+        self.indices = array("i")
+        self.values: list[str] = []
+        self._index: dict[str, int] = {}
+
+    def append(self, value: str) -> None:
+        index = self._index.get(value)
+        if index is None:
+            index = self._index[value] = len(self.values)
+            self.values.append(value)
+        self.indices.append(index)
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.values.__getitem__, self.indices)
 
 
 def _static_context_table() -> dict[str, ContextEntry]:
@@ -197,10 +241,14 @@ class CatalogStore:
     def __init__(self):
         self._lock = threading.RLock()
         self._records: dict[str, GenericRecord] = {}
-        self._events: list[UsageEvent] = []
-        # Append-only key columns parallel to _events: code text and UTC day.
-        self._event_codes: list[str] = []
-        self._event_days: list[str] = []
+        # The event log: one row per event across these append-only columns.
+        self._event_ids = array("q")
+        self._event_seconds = array("q")
+        self._event_codes = _Column()
+        self._event_contexts = _Column()
+        self._event_users = _Column()
+        self._event_use_types = _Column()
+        self._event_days = _Column()
         self._users: dict[str, UserProfile] = {}
         self._contexts: dict[str, ContextEntry] = _static_context_table()
         self._next_event_id = 1
@@ -267,15 +315,46 @@ class CatalogStore:
                 self._contexts[event.context] = ContextEntry(
                     label=event.context, origin="dynamic", first_seen=timestamp)
             event_id = self._next_event_id
-            self._append(replace(event, event_id=event_id, timestamp=timestamp), code)
+            self._append(event_id, code, event.context, event.user_id, timestamp, event.use_type)
             return event_id
 
-    def _append(self, event: UsageEvent, code: str) -> None:
-        """Add a validated event and its key columns; the caller holds the lock."""
-        self._events.append(event)
-        self._event_codes.append(sys.intern(code))
-        self._event_days.append(sys.intern(event.timestamp.date().isoformat()))
-        self._next_event_id = max(self._next_event_id, event.event_id + 1)
+    def record_usage_and_save(self, event: UsageEvent, path: str | Path) -> int:
+        """:meth:`record_usage`, then :meth:`save`; a failed save undoes the event.
+
+        If the save raises :class:`StorageIO`, the store is put back exactly as
+        it was, so memory never keeps an event the file lacks. Like the save
+        itself, the undo relies on the store having a single writer; a reader
+        may see the event while the file is being written.
+        """
+        with self._lock:
+            rows, next_id, snapshot = len(self._event_ids), self._next_event_id, self._snapshot
+            novel = event.context not in self._contexts
+            event_id = self.record_usage(event)
+        try:
+            self.save(path)
+        except StorageIO:
+            with self._lock:
+                for column in (self._event_ids, self._event_seconds, self._event_codes.indices,
+                               self._event_contexts.indices, self._event_users.indices,
+                               self._event_use_types.indices, self._event_days.indices):
+                    del column[rows:]
+                if novel:
+                    del self._contexts[event.context]
+                self._next_event_id, self._snapshot = next_id, snapshot
+            raise
+        return event_id
+
+    def _append(self, event_id: int, code: str, context: str, user_id: str,
+                timestamp: datetime, use_type: str) -> None:
+        """Add one validated row; ``timestamp`` is normalized and the caller holds the lock."""
+        self._event_ids.append(event_id)
+        self._event_seconds.append((timestamp - _EPOCH) // _SECOND)
+        self._event_codes.append(code)
+        self._event_contexts.append(context)
+        self._event_users.append(user_id)
+        self._event_use_types.append(use_type)
+        self._event_days.append(timestamp.date().isoformat())
+        self._next_event_id = max(self._next_event_id, event_id + 1)
         self._snapshot = None
 
     def list_contexts(self) -> list[ContextEntry]:
@@ -293,10 +372,14 @@ class CatalogStore:
             if self._snapshot is None:
                 self._snapshot = CatalogSnapshot(
                     records=tuple(self._records[k] for k in sorted(self._records)),
-                    events=tuple(self._events),
                     users=tuple(self._users[k] for k in sorted(self._users)),
                     contexts=tuple(self.list_contexts()),
+                    event_ids=array("q", self._event_ids),
+                    event_seconds=array("q", self._event_seconds),
                     event_codes=tuple(self._event_codes),
+                    event_contexts=tuple(self._event_contexts),
+                    event_users=tuple(self._event_users),
+                    event_use_types=tuple(self._event_use_types),
                     event_days=tuple(self._event_days),
                 )
             return self._snapshot
@@ -332,46 +415,53 @@ class CatalogStore:
                     "origin": entry.origin,
                     "first_seen": format_timestamp(entry.first_seen),
                 }
-            for event in self._events:
+            for event_id, seconds, code, context, user_id, use_type in zip(
+                    self._event_ids, self._event_seconds, self._event_codes,
+                    self._event_contexts, self._event_users, self._event_use_types):
                 yield {
                     "kind": "event",
-                    "event_id": event.event_id,
-                    "document_code": str(event.document_code),
-                    "context": event.context,
-                    "user_id": event.user_id,
-                    "timestamp": format_timestamp(event.timestamp),
-                    "use_type": event.use_type,
+                    "event_id": event_id,
+                    "document_code": code,
+                    "context": context,
+                    "user_id": user_id,
+                    "timestamp": format_timestamp(_instant(seconds)),
+                    "use_type": use_type,
                 }
 
     @classmethod
     def load(cls, path: str | Path) -> "CatalogStore":
         """Reconstruct a store from its canonical serialization.
 
-        Any unparseable or inconsistent line raises :class:`CorruptCatalog`
-        naming the line number.
+        The file is read one line at a time. Any line that is not UTF-8, not
+        JSON, or inconsistent raises :class:`CorruptCatalog` naming the line
+        number.
         """
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            file = open(path, "rb")
         except OSError as exc:
             raise StorageIO(f"cannot read {path}: {exc}") from exc
         store = cls()
-        codes: dict[str, DocumentCode] = {}  # one code object per distinct text
-        for line_number, line in enumerate(text.split("\n"), start=1):
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorruptCatalog(line_number, f"invalid JSON: {exc.msg}") from exc
-            try:
-                store._apply_loaded(data, codes)
-            except CorruptCatalog:
-                raise
-            except (MediaCubeError, KeyError, ValueError, TypeError) as exc:
-                raise CorruptCatalog(line_number, str(exc)) from exc
+        with file:
+            # Lines end at b"\n", a byte no multi-byte UTF-8 character contains.
+            for line_number, raw in enumerate(file, start=1):
+                if raw == b"\n":
+                    continue
+                try:
+                    data = json.loads(raw.decode("utf-8"))
+                except UnicodeDecodeError as exc:
+                    raise CorruptCatalog(line_number, f"not UTF-8: {exc.reason} "
+                                                      f"at byte {exc.start}") from None
+                except json.JSONDecodeError as exc:
+                    raise CorruptCatalog(line_number, f"invalid JSON: {exc.msg}") from exc
+                if not isinstance(data, dict):
+                    raise CorruptCatalog(line_number, f"not a JSON object: {data!r:.40}")
+                try:
+                    store._apply_loaded(data)
+                except (MediaCubeError, KeyError, ValueError, TypeError) as exc:
+                    raise CorruptCatalog(line_number, str(exc)) from exc
         return store
 
-    def _apply_loaded(self, data: dict, codes: dict[str, DocumentCode]) -> None:
+    def _apply_loaded(self, data: dict) -> None:
         self._snapshot = None
         kind = data.get("kind")
         if kind == "source":
@@ -392,26 +482,19 @@ class CatalogStore:
                 first_seen=parse_timestamp(data["first_seen"]),
             )
         elif kind == "event":
-            # Parsed text is canonical, so ``code`` equals str(document_code).
-            code = data["document_code"]
-            document_code = codes.get(code)
-            if document_code is None:
-                document_code = codes[code] = parse_document_code(code)
-            event = UsageEvent(
-                event_id=int(data["event_id"]),
-                document_code=document_code,
-                context=sys.intern(data["context"]),
-                user_id=sys.intern(data["user_id"]),
-                timestamp=parse_timestamp(data["timestamp"]),
-                use_type=sys.intern(data["use_type"]),
-            )
+            # A record key is canonical code text, so ``code`` needs no parse.
+            event_id, code = int(data["event_id"]), data["document_code"]
+            context, user_id, use_type = data["context"], data["user_id"], data["use_type"]
             if code not in self._records:
-                raise ValueError(f"event {event.event_id} references unknown document {code}")
-            if event.user_id not in self._users:
-                raise ValueError(f"event {event.event_id} references unknown user {event.user_id!r}")
-            if event.use_type not in USE_TYPES:
-                raise ValueError(f"event {event.event_id} has bad use_type {event.use_type!r}")
-            self._append(event, code)
+                raise ValueError(f"event {event_id} references unknown document {code!r}")
+            if user_id not in self._users:
+                raise ValueError(f"event {event_id} references unknown user {user_id!r}")
+            if use_type not in USE_TYPES:
+                raise ValueError(f"event {event_id} has bad use_type {use_type!r}")
+            if not isinstance(context, str):
+                raise ValueError(f"event {event_id} has non-string context {context!r}")
+            self._append(event_id, code, context, user_id,
+                         parse_timestamp(data["timestamp"]), use_type)
         else:
             raise ValueError(f"unknown object kind {kind!r}")
 

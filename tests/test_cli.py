@@ -245,3 +245,11 @@ def test_source_register_malformed_mapping_is_invalid_mapping(tmp_path, capsys, 
                          "--mapping", str(mapping_file), capsys=capsys)
     assert code == 1 and out == ""
     assert err.startswith("InvalidMapping: ") and err.count("\n") == 1
+
+
+def test_catalog_line_not_utf8_is_corrupt_catalog(five_event_catalog, capsys):
+    five_event_catalog.write_bytes(five_event_catalog.read_bytes() + b'{"kind":"\xe9"}\n')
+    code, _, err = run("--catalog", str(five_event_catalog), "contexts", capsys=capsys)
+    lines = five_event_catalog.read_bytes().count(b"\n")
+    assert (code, err.split(":")[0]) == (1, "CorruptCatalog")
+    assert f"CorruptCatalog: line {lines}: not UTF-8" in err

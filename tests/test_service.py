@@ -259,6 +259,22 @@ def test_post_storage_failure_is_service_unavailable(tmp_path):
     assert (status, body["error"]) == (503, "StorageIO")
 
 
+def test_failed_save_leaves_the_store_as_it_was(tmp_path):
+    store = make_five_event_store()
+    path = tmp_path / "missing" / "catalog.jsonl"
+    before = store.snapshot()
+    with serving(store, path) as base:
+        status, body = post(base, "/usage", USAGE)  # a novel context
+        assert (status, body["error"]) == (503, "StorageIO")
+        assert store.snapshot() == before
+        assert get(base, "/cube")[1]["total"] == 5
+        assert "fieldwork" not in {c["label"] for c in get(base, "/contexts")[1]}
+        path.parent.mkdir()
+        assert post(base, "/usage", USAGE) == (201, {"event_id": 6})
+    assert CatalogStore.load(path).snapshot() == store.snapshot()
+    assert len(store.snapshot().event_ids) == 6
+
+
 def test_unexpected_failure_is_internal_error(tmp_path):
     store = make_five_event_store()
     store.list_contexts = lambda: 1 / 0

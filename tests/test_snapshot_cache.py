@@ -165,3 +165,16 @@ def test_concurrent_clients_see_their_own_acknowledged_posts(served):
     assert not any(thread.is_alive() for thread in threads)
     assert problems == []
     assert _total(served, "time=2024-03-01") == len(acknowledged) == 24
+
+
+def test_events_are_built_once_from_the_columns():
+    snapshot = make_five_event_store().snapshot()
+    other = make_five_event_store().snapshot()
+    events = snapshot.events
+    assert snapshot.events is events
+    assert snapshot == other  # equality reads the columns; ``other`` built no events
+    assert [e.event_id for e in events] == list(snapshot.event_ids)
+    assert [str(e.document_code) for e in events] == list(snapshot.event_codes)
+    assert [e.timestamp.date().isoformat() for e in events] == list(snapshot.event_days)
+    assert all(e.document_code is snapshot.record_by_code[str(e.document_code)].document_code
+               for e in events)

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from datetime import datetime, timezone
+import tracemalloc
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, strategies as st
@@ -289,6 +290,27 @@ def test_load_rejects_dangling_event(tmp_path):
     assert err.value.line_number == 1
 
 
+def test_load_rejects_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "catalog.jsonl"
+    make_five_event_store().save(path)
+    lines = path.read_bytes().split(b"\n")
+    lines[3] = lines[3].replace(b"}", b',"x":"\xff"}')
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(CorruptCatalog) as err:
+        CatalogStore.load(path)
+    assert err.value.line_number == 4
+    assert "not UTF-8" in str(err.value)
+
+
+def test_load_rejects_a_line_that_is_not_an_object(tmp_path):
+    path = tmp_path / "catalog.jsonl"
+    make_five_event_store().save(path)
+    path.write_bytes(path.read_bytes() + b"[1]\n")
+    with pytest.raises(CorruptCatalog) as err:
+        CatalogStore.load(path)
+    assert err.value.line_number == path.read_bytes().count(b"\n")
+
+
 def test_load_missing_file():
     with pytest.raises(StorageIO):
         CatalogStore.load("/nonexistent/catalog.jsonl")
@@ -402,3 +424,31 @@ def test_put_record_checks_each_record_alone_as_the_catalog_grows():
     with pytest.raises(RecordInvalid, match="sound descriptor implied by class but missing"):
         store.put_record(bad)
     assert store.get_record("fx:d9").text.title == "T9"
+
+
+def test_load_streams_the_file_and_keeps_events_as_columns(tmp_path):
+    # An event-heavy catalog: 20,000 events over three records and two users.
+    store = CatalogStore()
+    for local in ("d1", "d2", "d3"):
+        store.put_record(text_record(local))
+    for user in ("u1", "u2"):
+        store.register_user(UserProfile(user_id=user, name=user))
+    start = _utc("2024-01-01T00:00:00")
+    for i in range(20_000):
+        store.record_usage(dataclasses.replace(
+            event(local=f"d{i % 3 + 1}", user=f"u{i % 2 + 1}", context=f"c{i % 7}"),
+            timestamp=start + timedelta(minutes=7 * i)))
+    path = tmp_path / "catalog.jsonl"
+    store.save(path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = CatalogStore.load(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.snapshot() == store.snapshot()
+    # No whole-file copy: the transient peak stays far below the file size.
+    assert peak - retained < size / 4, (peak - retained, size)
+    # Two 8-byte and five 4-byte columns per event, plus array headroom.
+    assert retained / 20_000 < 64, retained / 20_000
