@@ -123,9 +123,7 @@ def _cmd_usage_log(args) -> int:
               "user_id": args.user, "use_type": args.type}
     if args.time is not None:
         fields["timestamp"] = args.time
-    event_id = store.record_usage(parse_usage_event(fields))
-    store.save(path)
-    print(event_id)
+    print(store.record_usage_and_save(parse_usage_event(fields), path))
     return 0
 
 

@@ -71,22 +71,17 @@ def _escape_local(local_id: str) -> str:
     return local_id.replace("\\", "\\\\").replace(":", "\\:")
 
 
-def _unescape_local(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= len(text) or text[i + 1] not in (":", "\\"):
-                raise MalformedCode(f"bad escape in local_id: {text!r}")
-            out.append(text[i + 1])
-            i += 2
-        elif ch == ":":
-            raise MalformedCode(f"unescaped ':' in local_id: {text!r}")
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+#: A backslash with the character after it (none at the end), or a bare ``:``.
+_LOCAL_SPECIAL = re.compile(r"\\(.?)|:", re.DOTALL)
+
+
+def _unescape(match: re.Match) -> str:
+    """Replace one match of ``_LOCAL_SPECIAL`` in a local_id by what it stands for."""
+    if match[0] == ":":
+        raise MalformedCode(f"unescaped ':' in local_id: {match.string!r}")
+    if match[1] not in (":", "\\"):
+        raise MalformedCode(f"bad escape in local_id: {match.string!r}")
+    return match[1]
 
 
 def format_document_code(code: DocumentCode) -> str:
@@ -111,6 +106,4 @@ def parse_document_code(text: str) -> DocumentCode:
     head, sep, tail = text.partition(":")
     if not sep:
         raise MalformedCode(f"not a compound code or URI: {text!r}")
-    if not SOURCE_ID_PATTERN.match(head):
-        raise MalformedCode(f"bad source_id {head!r} in code {text!r}")
-    return DocumentCode(source_id=head, local_id=_unescape_local(tail))
+    return DocumentCode(source_id=head, local_id=_LOCAL_SPECIAL.sub(_unescape, tail))

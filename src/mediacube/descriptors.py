@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from datetime import date, datetime
-from typing import Iterable, Mapping
+from datetime import date
+from itertools import repeat
+from typing import Callable, Iterable, Mapping
 
 from .codes import DocumentCode, format_document_code, parse_document_code
 from .errors import MediaCubeError
@@ -132,6 +133,7 @@ _DESCRIPTOR_TYPES: dict[str, type] = {
     "image": ImageDescriptor,
     "sound": SoundDescriptor,
 }
+_MEDIUM_OF = {t: medium for medium, t in _DESCRIPTOR_TYPES.items()}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -160,8 +162,30 @@ class GenericRecord:
 # Generic schema field table
 # ---------------------------------------------------------------------------
 
-#: Value kinds a generic field can hold.
-LABEL, DATE, LABELS, CODES = "label", "date", "labels", "codes"
+
+@dataclass(frozen=True)
+class FieldKind:
+    """A kind of field value: its exact type, its item type if a tuple, and its JSON codec."""
+
+    name: str
+    type: type
+    item_type: type | None
+    encode: Callable[[object], object] | None  # None where the JSON value is the value
+    decode: Callable[[object], object] | None
+
+
+def _from(json_type: type, convert: Callable) -> Callable[[object], object]:
+    return lambda raw: convert(raw) if isinstance(raw, json_type) else raw
+
+
+#: The value kinds a generic field can hold. Decoding turns JSON lists into
+#: tuples, ISO text into dates and code text into codes, and passes anything
+#: else through unchanged for :func:`validate_record` to refuse.
+LABEL = FieldKind("label", str, None, None, None)
+DATE = FieldKind("date", date, None, date.isoformat, _from(str, date.fromisoformat))
+LABELS = FieldKind("labels", tuple, str, list, _from(list, tuple))
+CODES = FieldKind("codes", tuple, DocumentCode, lambda value: list(map(str, value)),
+                  _from(list, lambda raw: tuple(map(parse_document_code, raw))))
 
 
 @dataclass(frozen=True)
@@ -169,7 +193,7 @@ class FieldSpec:
     """Shape of one generic-schema field, addressed by its dotted path."""
 
     path: str
-    kind: str = LABEL
+    kind: FieldKind = LABEL
     required: bool = False
     vocabulary: str | None = None
     # The two halves of ``path``, split once here rather than on every read.
@@ -217,15 +241,18 @@ SCHEMA_FIELDS: dict[str, FieldSpec] = {
 }
 
 
-#: The schema fields of each medium, in ``SCHEMA_FIELDS`` order.
-MEDIUM_FIELDS: dict[str, tuple[FieldSpec, ...]] = {
-    medium: tuple(f for f in SCHEMA_FIELDS.values() if f.medium == medium) for medium in MEDIA
+#: The schema fields of each medium by attribute name, in ``SCHEMA_FIELDS`` order.
+MEDIUM_FIELDS: dict[str, dict[str, FieldSpec]] = {
+    m: {f.attribute: f for f in SCHEMA_FIELDS.values() if f.medium == m} for m in MEDIA
 }
+#: Per medium, the kind of each field whose JSON value is not the value itself.
+_CONVERTED = {m: {name: f.kind for name, f in fields.items() if f.kind is not LABEL}
+              for m, fields in MEDIUM_FIELDS.items()}
 
 
 def required_fields(medium: str) -> list[str]:
     """Dotted paths of the fields a descriptor of ``medium`` must populate."""
-    return [f.path for f in MEDIUM_FIELDS[medium] if f.required]
+    return [f.path for f in MEDIUM_FIELDS[medium].values() if f.required]
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +284,7 @@ class ValidationReport:
         return not self.violations and not self.warnings
 
 
-def _is_calendar_date(value) -> bool:
-    return isinstance(value, date) and not isinstance(value, datetime)
+_CLEAN = ValidationReport()  # shared by every record without a problem
 
 
 def validate_record(
@@ -268,10 +294,10 @@ def validate_record(
 ) -> ValidationReport:
     """Check a record against the schema and the given vocabularies.
 
-    All problems are reported, never thrown. Closed-vocabulary misses and
-    structural faults are violations; open-vocabulary misses and dangling
-    related-document references (when ``known_codes`` is supplied) are
-    warnings.
+    All problems are reported, never thrown. Closed-vocabulary misses, values
+    of the wrong kind and structural faults are violations; open-vocabulary
+    misses and dangling related-document references (when ``known_codes`` is
+    supplied) are warnings.
     """
     if vocabularies is None:
         vocabs = BUILTIN_VOCABULARIES
@@ -284,8 +310,10 @@ def validate_record(
     warnings: list[Problem] = []
 
     expected = decompose(record.media_class)
+    known = None if known_codes is None else set(known_codes)
     for medium in MEDIA:
-        has = record.descriptor(medium) is not None
+        descriptor = getattr(record, medium)
+        has = descriptor is not None
         if has != getattr(expected, medium):
             detail = "attached but not implied by class" if has else "implied by class but missing"
             violations.append(Problem(
@@ -293,52 +321,44 @@ def validate_record(
                 rule="descriptor/class-mismatch",
                 message=f"{medium} descriptor {detail} {record.media_class.token}",
             ))
-
-    known = None if known_codes is None else set(known_codes)
-
-    for medium in MEDIA:
-        descriptor = record.descriptor(medium)
-        if descriptor is None:
+        if not has:
             continue
-        for spec in MEDIUM_FIELDS[medium]:
-            path = spec.path
-            value = getattr(descriptor, spec.attribute)
-            if value is None or value == () or value == "":
+        fields = MEDIUM_FIELDS[medium]
+        for name, value in vars(descriptor).items():
+            spec = fields[name]
+            if not value and value in (None, "", ()):  # ``not value`` first: it is cheap
                 if spec.required:
+                    path = spec.path
                     violations.append(Problem(path, "required-field", f"{path} is required"))
                 continue
-            if spec.kind == DATE:
-                if not _is_calendar_date(value):
-                    violations.append(
-                        Problem(path, "date", f"{path} is not a calendar date: {value!r}"))
-                continue
-            if spec.kind == CODES:
-                if known is not None:
-                    for ref in value:
-                        if format_document_code(ref) not in known:
-                            warnings.append(Problem(
-                                path, "dangling-reference",
-                                f"{path} references unknown document {ref}",
-                            ))
-                continue
-            if spec.kind == LABELS:
-                continue
-            vocab = vocabs.get(spec.vocabulary) if spec.vocabulary else None
-            if vocab is not None and value not in vocab:
+            kind = spec.kind  # the type must match exactly: a datetime is not a date
+            if type(value) is not kind.type or kind.item_type and not all(
+                    map(isinstance, value, repeat(kind.item_type))):
+                violations.append(Problem(
+                    spec.path, kind.name, f"{spec.path} expects {kind.name}, got {value!r}"))
+            elif kind is CODES and known is not None:
+                for ref in value:
+                    if format_document_code(ref) not in known:
+                        warnings.append(Problem(
+                            spec.path, "dangling-reference",
+                            f"{spec.path} references unknown document {ref}",
+                        ))
+            elif (vocab := vocabs.get(spec.vocabulary)) is not None and value not in vocab.members:
                 problem = Problem(
-                    path,
+                    spec.path,
                     "open-vocabulary" if vocab.open else "vocabulary",
-                    f"{path} value {value!r} not in {vocab.name} vocabulary",
+                    f"{spec.path} value {value!r} not in {vocab.name} vocabulary",
                 )
                 (warnings if vocab.open else violations).append(problem)
 
     image = record.image
     if image is not None:
-        for rank in ("dominant", "secondary"):
-            subclass = getattr(image, f"{rank}_feature_subclass")
-            if subclass is None:
+        for rank, feature, subclass in (
+                ("dominant", image.dominant_feature, image.dominant_feature_subclass),
+                ("secondary", image.secondary_feature, image.secondary_feature_subclass)):
+            if type(subclass) is not str:  # absent, or refused above as not a label
                 continue
-            if getattr(image, f"{rank}_feature") is None:
+            if feature is None:
                 violations.append(Problem(
                     f"image.{rank}_feature_subclass",
                     "subclass-without-feature",
@@ -351,6 +371,8 @@ def validate_record(
                     f"sub-class labels use the parent-child form, got {subclass!r}",
                 ))
 
+    if not violations and not warnings:
+        return _CLEAN
     return ValidationReport(violations=tuple(violations), warnings=tuple(warnings))
 
 
@@ -360,7 +382,7 @@ def attach_descriptor(record: GenericRecord, descriptor: Descriptor) -> GenericR
     Raises :class:`DuplicateDescriptor` if the record already has a
     descriptor of that kind. Existing descriptors are untouched.
     """
-    medium = next(m for m, t in _DESCRIPTOR_TYPES.items() if isinstance(descriptor, t))
+    medium = _MEDIUM_OF[type(descriptor)]
     if record.descriptor(medium) is not None:
         raise DuplicateDescriptor(f"record {record.document_code} already has a {medium} descriptor")
     updated = dataclasses.replace(record, **{medium: descriptor})
@@ -378,54 +400,32 @@ def make_descriptor(medium: str, values: Mapping[str, object]) -> Descriptor:
 
 
 def descriptor_to_dict(descriptor: Descriptor) -> dict:
-    out: dict[str, object] = {}
-    for f in dataclasses.fields(descriptor):
-        value = getattr(descriptor, f.name)
-        if value is None or value == ():
-            continue
-        if _is_calendar_date(value):
-            value = value.isoformat()
-        elif isinstance(value, tuple):
-            value = [str(v) if isinstance(v, DocumentCode) else v for v in value]
-        out[f.name] = value
+    out = {name: value for name, value in vars(descriptor).items() if value not in (None, ())}
+    for name, kind in _CONVERTED[_MEDIUM_OF[type(descriptor)]].items():
+        if name in out:
+            out[name] = kind.encode(out[name])
     return out
 
 
 def descriptor_from_dict(medium: str, data: Mapping[str, object]) -> Descriptor:
-    values: dict[str, object] = {}
-    for name, raw in data.items():
-        spec = SCHEMA_FIELDS.get(f"{medium}.{name}")
-        if spec is None:
-            raise ValueError(f"unknown {medium} descriptor field: {name}")
-        if spec.kind == DATE:
-            values[name] = date.fromisoformat(str(raw))
-        elif spec.kind == CODES:
-            values[name] = tuple(parse_document_code(str(v)) for v in raw)
-        elif spec.kind == LABELS:
-            values[name] = tuple(str(v) for v in raw)
-        else:
-            values[name] = str(raw)
+    """Decode each field by its kind; :func:`validate_record` checks the values."""
+    if not data.keys() <= MEDIUM_FIELDS[medium].keys():
+        unknown = ", ".join(sorted(data.keys() - MEDIUM_FIELDS[medium].keys()))
+        raise ValueError(f"unknown {medium} descriptor field: {unknown}")
+    values = dict(data)
+    for name, kind in _CONVERTED[medium].items():
+        if name in values:
+            values[name] = kind.decode(values[name])
     return make_descriptor(medium, values)
 
 
 def record_to_dict(record: GenericRecord) -> dict:
-    out: dict[str, object] = {
-        "document_code": str(record.document_code),
-        "media_class": record.media_class.token,
-    }
-    for medium in MEDIA:
-        descriptor = record.descriptor(medium)
-        if descriptor is not None:
-            out[medium] = descriptor_to_dict(descriptor)
-    return out
+    return {"document_code": str(record.document_code), "media_class": record.media_class.token,
+            **{m: descriptor_to_dict(d) for m in MEDIA if (d := getattr(record, m)) is not None}}
 
 
 def record_from_dict(data: Mapping[str, object]) -> GenericRecord:
-    kwargs: dict[str, object] = {
-        "document_code": parse_document_code(str(data["document_code"])),
-        "media_class": MediaClass.from_token(str(data["media_class"])),
-    }
-    for medium in MEDIA:
-        if medium in data:
-            kwargs[medium] = descriptor_from_dict(medium, data[medium])
-    return GenericRecord(**kwargs)
+    return GenericRecord(
+        document_code=parse_document_code(data["document_code"]),
+        media_class=MediaClass.from_token(data["media_class"]),
+        **{m: descriptor_from_dict(m, data[m]) for m in MEDIA if m in data})

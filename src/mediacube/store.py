@@ -8,7 +8,7 @@ events. Saving the same snapshot twice yields byte-identical files.
 
 The event log is held as columns, not as :class:`UsageEvent` objects: event
 ids and UTC epoch seconds in ``array('q')``, and the code text, context,
-user, use type and day label each dictionary-encoded in an ``array('i')``.
+user and use type each dictionary-encoded in an ``array('i')``.
 """
 
 from __future__ import annotations
@@ -162,9 +162,9 @@ class CatalogSnapshot:
     """An immutable, internally consistent view handed to analytics.
 
     The events come as columns, all in event order: the event id, the UTC
-    epoch seconds, the canonical document-code text, the context, the user,
-    the use type and the UTC day label (``YYYY-MM-DD``). Analytics groups
-    over these columns; ``events`` builds the objects on first read.
+    epoch seconds, the canonical document-code text, the context, the user
+    and the use type. Analytics groups over these columns; ``event_days`` and
+    ``events`` are built from them on first read.
     """
 
     records: tuple[GenericRecord, ...]
@@ -176,7 +176,6 @@ class CatalogSnapshot:
     event_contexts: tuple[str, ...]
     event_users: tuple[str, ...]
     event_use_types: tuple[str, ...]
-    event_days: tuple[str, ...] = field(compare=False, repr=False)  # from event_seconds
 
     # Derived from the value fields; excluded from equality.
     record_by_code: Mapping[str, GenericRecord] = field(init=False, compare=False, repr=False)
@@ -189,6 +188,13 @@ class CatalogSnapshot:
         object.__setattr__(self, "user_by_id", {u.user_id: u for u in self.users})
         object.__setattr__(self, "context_labels",
                            frozenset(c.label for c in self.contexts))
+
+    @cached_property
+    def event_days(self) -> tuple[str, ...]:
+        """Each event's UTC day label (``YYYY-MM-DD``): one ``isoformat`` per distinct day."""
+        days = [seconds // 86400 for seconds in self.event_seconds]  # floors before 1970 too
+        labels = {day: _instant(day * 86400).date().isoformat() for day in set(days)}
+        return tuple(map(labels.__getitem__, days))
 
     @cached_property
     def events(self) -> tuple[UsageEvent, ...]:
@@ -248,7 +254,6 @@ class CatalogStore:
         self._event_contexts = _Column()
         self._event_users = _Column()
         self._event_use_types = _Column()
-        self._event_days = _Column()
         self._users: dict[str, UserProfile] = {}
         self._contexts: dict[str, ContextEntry] = _static_context_table()
         self._next_event_id = 1
@@ -300,16 +305,9 @@ class CatalogStore:
         A context label not yet in the registry enriches it with a dynamic
         entry first seen at the event's timestamp.
         """
-        if event.use_type not in USE_TYPES:
-            raise MalformedEvent(f"use_type must be one of {USE_TYPES}, got {event.use_type!r}")
-        if not event.context:
-            raise MalformedEvent("context label must be non-empty")
         with self._lock:
             code = str(event.document_code)
-            if code not in self._records:
-                raise UnknownDocument(f"no record for {code}")
-            if event.user_id not in self._users:
-                raise UnknownUser(f"user {event.user_id!r} is not registered")
+            self._check_event(code, event.context, event.user_id, event.use_type)
             timestamp = normalize_timestamp(event.timestamp)
             if event.context not in self._contexts:
                 self._contexts[event.context] = ContextEntry(
@@ -336,7 +334,7 @@ class CatalogStore:
             with self._lock:
                 for column in (self._event_ids, self._event_seconds, self._event_codes.indices,
                                self._event_contexts.indices, self._event_users.indices,
-                               self._event_use_types.indices, self._event_days.indices):
+                               self._event_use_types.indices):
                     del column[rows:]
                 if novel:
                     del self._contexts[event.context]
@@ -344,17 +342,27 @@ class CatalogStore:
             raise
         return event_id
 
+    def _check_event(self, code: str, context, user_id, use_type) -> None:
+        """Refuse an event that ``record_usage`` or ``load`` must not admit."""
+        if use_type not in USE_TYPES:
+            raise MalformedEvent(f"use_type must be one of {USE_TYPES}, got {use_type!r}")
+        if not isinstance(context, str) or not context:
+            raise MalformedEvent(f"context label must be a non-empty string, got {context!r}")
+        if code not in self._records:
+            raise UnknownDocument(f"no record for {code}")
+        if user_id not in self._users:
+            raise UnknownUser(f"user {user_id!r} is not registered")
+
     def _append(self, event_id: int, code: str, context: str, user_id: str,
                 timestamp: datetime, use_type: str) -> None:
-        """Add one validated row; ``timestamp`` is normalized and the caller holds the lock."""
+        """Add one checked row above the last id; ``timestamp`` is normalized, the lock held."""
         self._event_ids.append(event_id)
         self._event_seconds.append((timestamp - _EPOCH) // _SECOND)
         self._event_codes.append(code)
         self._event_contexts.append(context)
         self._event_users.append(user_id)
         self._event_use_types.append(use_type)
-        self._event_days.append(timestamp.date().isoformat())
-        self._next_event_id = max(self._next_event_id, event_id + 1)
+        self._next_event_id = event_id + 1
         self._snapshot = None
 
     def list_contexts(self) -> list[ContextEntry]:
@@ -380,7 +388,6 @@ class CatalogStore:
                     event_contexts=tuple(self._event_contexts),
                     event_users=tuple(self._event_users),
                     event_use_types=tuple(self._event_use_types),
-                    event_days=tuple(self._event_days),
                 )
             return self._snapshot
 
@@ -432,9 +439,11 @@ class CatalogStore:
     def load(cls, path: str | Path) -> "CatalogStore":
         """Reconstruct a store from its canonical serialization.
 
-        The file is read one line at a time. Any line that is not UTF-8, not
-        JSON, or inconsistent raises :class:`CorruptCatalog` naming the line
-        number.
+        The file is read one line at a time. Records pass :meth:`put_record`,
+        users :meth:`register_user` and events the check of :meth:`record_usage`;
+        on top, event ids must increase and each event's context must have its
+        registry line. A line that is not UTF-8, not a JSON object, or refused
+        raises :class:`CorruptCatalog` naming the line.
         """
         try:
             file = open(path, "rb")
@@ -457,17 +466,16 @@ class CatalogStore:
                     raise CorruptCatalog(line_number, f"not a JSON object: {data!r:.40}")
                 try:
                     store._apply_loaded(data)
-                except (MediaCubeError, KeyError, ValueError, TypeError) as exc:
+                except (MediaCubeError, AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise CorruptCatalog(line_number, str(exc)) from exc
         return store
 
     def _apply_loaded(self, data: dict) -> None:
-        self._snapshot = None
         kind = data.get("kind")
         if kind == "source":
             self.sources.register(source_from_dict(data))
         elif kind == "record":
-            self._records[str(data["document_code"])] = record_from_dict(data)
+            self.put_record(record_from_dict(data))
         elif kind == "user":
             self.register_user(UserProfile(
                 user_id=data["user_id"],
@@ -483,21 +491,21 @@ class CatalogStore:
             )
         elif kind == "event":
             # A record key is canonical code text, so ``code`` needs no parse.
-            event_id, code = int(data["event_id"]), data["document_code"]
+            event_id, code = data["event_id"], data["document_code"]
             context, user_id, use_type = data["context"], data["user_id"], data["use_type"]
-            if code not in self._records:
-                raise ValueError(f"event {event_id} references unknown document {code!r}")
-            if user_id not in self._users:
-                raise ValueError(f"event {event_id} references unknown user {user_id!r}")
-            if use_type not in USE_TYPES:
-                raise ValueError(f"event {event_id} has bad use_type {use_type!r}")
-            if not isinstance(context, str):
-                raise ValueError(f"event {event_id} has non-string context {context!r}")
+            if event_id < self._next_event_id:
+                raise ValueError(f"event id {event_id} is not above {self._next_event_id - 1}")
+            self._check_event(code, context, user_id, use_type)
+            if context not in self._contexts:
+                raise ValueError(f"event {event_id} context {context!r} has no registry line")
             self._append(event_id, code, context, user_id,
                          parse_timestamp(data["timestamp"]), use_type)
         else:
             raise ValueError(f"unknown object kind {kind!r}")
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
 def _dump_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(obj) + "\n"

@@ -56,14 +56,15 @@ class MediaClass(Enum):
     @classmethod
     def from_token(cls, token: str) -> "MediaClass":
         try:
-            return cls(token)
-        except ValueError:
+            return _CLASS_BY_TOKEN[token]
+        except KeyError:
             raise ValueError(f"unknown media class token: {token!r}") from None
 
     def __str__(self) -> str:
         return self.value
 
 
+_CLASS_BY_TOKEN = {c.value: c for c in MediaClass}
 _CLASS_BY_PRESENCE = {
     MediaPresence(text=True): MediaClass.TEXT,
     MediaPresence(image=True): MediaClass.IMAGE,

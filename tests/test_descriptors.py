@@ -8,6 +8,8 @@ import pytest
 from mediacube.codes import DocumentCode, parse_document_code
 from mediacube.descriptors import (
     BUILTIN_VOCABULARIES,
+    MEDIA,
+    SCHEMA_FIELDS,
     DuplicateDescriptor,
     GenericRecord,
     ImageDescriptor,
@@ -176,6 +178,20 @@ def test_valid_record_class_agrees_with_presence():
     report = validate_record(record)
     assert report.ok
     assert classify(record.presence) is record.media_class
+
+
+def test_schema_fields_match_the_descriptor_dataclasses():
+    # The schema is declared twice, as dataclasses and as SCHEMA_FIELDS; they must agree.
+    assert {spec.medium for spec in SCHEMA_FIELDS.values()} == set(MEDIA)
+    for medium, cls in (("text", TextDescriptor), ("image", ImageDescriptor),
+                        ("sound", SoundDescriptor)):
+        specs = {s.attribute: s for s in SCHEMA_FIELDS.values() if s.medium == medium}
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        assert fields.keys() == specs.keys(), medium
+        for name, f in fields.items():
+            has_default = (f.default is not dataclasses.MISSING
+                           or f.default_factory is not dataclasses.MISSING)
+            assert specs[name].required is not has_default, f"{medium}.{name}"
 
 
 def test_descriptor_dict_round_trip():

@@ -311,6 +311,76 @@ def test_load_rejects_a_line_that_is_not_an_object(tmp_path):
     assert err.value.line_number == path.read_bytes().count(b"\n")
 
 
+def _swap_lines_10_and_11(objs):
+    objs[9], objs[10] = objs[10], objs[9]
+
+
+def _set(line: int, *path_and_value):
+    """A mutation setting the field at ``path`` of the object on ``line`` (1-based)."""
+    *path, name, value = path_and_value
+
+    def mutate(objs):
+        target = objs[line - 1]
+        for key in path:
+            target = target[key]
+        target[name] = value
+    return mutate
+
+
+# Each case breaks one line of a saved five-event catalog (records on lines 1-2,
+# users 3-4, contexts 5-8, events 9-13); ``load`` must refuse that line.
+LOAD_REJECTIONS = {
+    "class-mismatch": (_set(1, "media_class", "text-image"), 1, "image descriptor implied"),
+    "title-not-a-label": (_set(1, "text", "title", 5), 1, "text.title expects label, got 5"),
+    "descriptors-not-labels": (_set(2, "text", "descriptors", "abc"), 2,
+                               "text.descriptors expects labels, got 'abc'"),
+    "empty-required-title": (_set(2, "text", "title", ""), 2, "text.title is required"),
+    "duplicate-event-id": (_set(11, "event_id", 2), 11, "event id 2 is not above 2"),
+    "events-out-of-order": (_swap_lines_10_and_11, 11, "event id 2 is not above 3"),
+    "context-without-registry-line": (_set(9, "context", "seminar"), 9,
+                                      "context 'seminar' has no registry line"),
+    "empty-context": (_set(9, "context", ""), 9, "context label must be a non-empty string"),
+    "descriptor-not-an-object": (_set(1, "text", "D1"), 1, "'str' object"),
+    "timestamp-not-text": (_set(13, "timestamp", 5), 13, "'int' object"),
+}
+
+
+@pytest.mark.parametrize("mutate, line, reason", LOAD_REJECTIONS.values(),
+                         ids=LOAD_REJECTIONS.keys())
+def test_load_rejects_what_the_write_api_would_refuse(tmp_path, mutate, line, reason):
+    path = tmp_path / "catalog.jsonl"
+    make_five_event_store().save(path)
+    objs = [json.loads(text) for text in path.read_text(encoding="utf-8").splitlines()]
+    mutate(objs)
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs), encoding="utf-8")
+    with pytest.raises(CorruptCatalog) as err:
+        CatalogStore.load(path)
+    assert err.value.line_number == line
+    assert reason in str(err.value)
+
+
+@pytest.mark.parametrize("context", [5, ""])
+def test_record_usage_refuses_a_context_that_load_would_refuse(tmp_path, context):
+    store = seeded_store()
+    with pytest.raises(MalformedEvent):
+        store.record_usage(event(context=context))
+    path = tmp_path / "catalog.jsonl"
+    store.save(path)
+    assert CatalogStore.load(path).snapshot() == store.snapshot()
+    assert len(store.snapshot().event_ids) == 0
+
+
+def test_put_record_refuses_a_value_of_the_wrong_kind():
+    store = CatalogStore()
+    with pytest.raises(RecordInvalid, match="text.title expects label, got 5"):
+        store.put_record(text_record(title=5))
+    with pytest.raises(RecordInvalid, match="text.descriptors expects labels"):
+        store.put_record(GenericRecord(
+            document_code=DocumentCode.compound("fx", "d1"), media_class=MediaClass.TEXT,
+            text=TextDescriptor(title="T", descriptors="abc")))
+    assert store.snapshot().records == ()
+
+
 def test_load_missing_file():
     with pytest.raises(StorageIO):
         CatalogStore.load("/nonexistent/catalog.jsonl")
@@ -450,5 +520,5 @@ def test_load_streams_the_file_and_keeps_events_as_columns(tmp_path):
     assert loaded.snapshot() == store.snapshot()
     # No whole-file copy: the transient peak stays far below the file size.
     assert peak - retained < size / 4, (peak - retained, size)
-    # Two 8-byte and five 4-byte columns per event, plus array headroom.
+    # Two 8-byte and four 4-byte columns per event, plus array headroom.
     assert retained / 20_000 < 64, retained / 20_000
