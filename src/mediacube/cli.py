@@ -17,8 +17,10 @@ from . import analytics, service
 from .codes import parse_document_code
 from .descriptors import record_to_dict
 from .errors import BadRequest, MediaCubeError, exit_code
-from .federation import SourceDescriptor, ingest_source, mapping_from_dict, source_record_to_dict
-from .store import CatalogStore, StorageIO, UserProfile, format_timestamp, parse_usage_event
+from .federation import (ADAPTER_KINDS, SourceDescriptor, ingest_source, mapping_from_dict,
+                         source_record_to_dict)
+from .store import (USE_TYPES, CatalogStore, StorageIO, UserProfile, format_timestamp,
+                    parse_usage_event)
 
 CATALOG_ENV = "MEDIACUBE_CATALOG"
 
@@ -217,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("source-register", help="register a federated source")
     p.add_argument("--source-id", required=True)
-    p.add_argument("--kind", required=True, choices=["tabular", "file-tree", "remote-line"])
+    p.add_argument("--kind", required=True, choices=ADAPTER_KINDS)
     p.add_argument("--location", required=True, help="file, directory, or host:port")
     p.add_argument("--mapping", required=True, help="JSON file with the field mapping")
     p.add_argument("--disabled", action="store_true")
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--context", required=True)
     p.add_argument("--user", required=True)
     p.add_argument("--time", help="UTC instant like 2024-01-01T09:00:00Z, default now")
-    p.add_argument("--type", required=True, choices=["repetitive", "occasional"])
+    p.add_argument("--type", required=True, choices=USE_TYPES)
     p.set_defaults(func=_cmd_usage_log)
 
     p = sub.add_parser("contexts", help="list context registry entries")
@@ -257,14 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix", action="append", metavar="DIM=VALUE",
                    help=f"fix a dimension; DIM is one of {', '.join(analytics.FILTER_NAMES)}; "
                         f"time values use {analytics.TIME_GRAMMAR}")
-    p.add_argument("--granularity", default="day", choices=["day", "month", "year"])
+    p.add_argument("--granularity", default="day", choices=analytics.GRANULARITIES)
     p.set_defaults(func=_cmd_cube)
 
     p = sub.add_parser("report", help="run a derived usage report")
     p.add_argument("name", choices=["importance", "interest", "evolution",
                                     "type-ratio", "social-class"])
     p.add_argument("--user", help="user id (report interest)")
-    p.add_argument("--granularity", default="day", choices=["day", "month", "year"])
+    p.add_argument("--granularity", default="day", choices=analytics.GRANULARITIES)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("save", help="write the catalog's canonical form to a path")

@@ -13,6 +13,9 @@ Three adapter kinds cover heterogeneous ingestion at desk scale:
   ``GET <local_id>`` returns ``field<TAB>value`` lines then a blank line,
   and ``ERR <msg>`` signals failure.
 
+Each kind has one reader, through which both a harvest and a resolve read
+the source, so a resolve returns the record a harvest keeps.
+
 Per-record problems never abort a harvest; only source-level connection
 failures do. Sources are mutually independent.
 """
@@ -21,7 +24,8 @@ from __future__ import annotations
 
 import socket
 import threading
-from dataclasses import dataclass, field
+from contextlib import closing
+from dataclasses import dataclass, field, fields as dataclass_fields
 from datetime import date
 from itertools import islice
 from pathlib import Path
@@ -44,7 +48,6 @@ from .taxonomy import MediaPresence, classify
 if TYPE_CHECKING:
     from .store import CatalogStore
 
-ADAPTER_KINDS = ("tabular", "file-tree", "remote-line")
 TRANSFORMS = ("identity", "lowercase", "date-parse", "split-list")
 
 REMOTE_TIMEOUT = 10.0
@@ -139,11 +142,7 @@ class FieldMapping:
 
     @property
     def declared_media(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for rule in self.presence_rules:
-            if rule.medium not in seen:
-                seen.append(rule.medium)
-        return tuple(seen)
+        return tuple(dict.fromkeys(rule.medium for rule in self.presence_rules))
 
 
 @dataclass(frozen=True)
@@ -245,32 +244,24 @@ def _split_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _coerce(path: str, value) -> object:
+def _coerce(path: str, value: str | tuple[str, ...]) -> object:
     """Coerce a transformed value to the kind its generic field expects."""
     kind = SCHEMA_FIELDS[path].kind
     try:
-        if kind == DATE:
-            return value if isinstance(value, date) else _parse_date(str(value))
-        if kind == CODES:
+        if kind in (LABELS, CODES):
             items = value if isinstance(value, tuple) else (value,)
-            return tuple(parse_document_code(str(v)) for v in items)
-        if kind == LABELS:
-            return value if isinstance(value, tuple) else (str(value),)
+            return tuple(map(parse_document_code, items)) if kind == CODES else items
         if isinstance(value, tuple):
             raise ValueError("list value for a scalar field")
-        return str(value)
+        return _parse_date(value) if kind == DATE else value
     except (ValueError, MalformedCode) as exc:
         raise FieldTransformError(f"{path}: {exc}") from exc
 
 
-def _apply_transform(rule: FieldRule, value: str) -> object:
+def _apply_transform(rule: FieldRule, value: str) -> str | tuple[str, ...]:
+    """Apply a rule's transform; ``date-parse`` is left to :func:`_coerce`, as for any date."""
     if rule.transform == "lowercase":
         return value.lower()
-    if rule.transform == "date-parse":
-        try:
-            return _parse_date(value)
-        except ValueError as exc:
-            raise FieldTransformError(f"{rule.target}: {exc}") from exc
     if rule.transform == "split-list":
         return _split_list(value)
     return value
@@ -316,10 +307,8 @@ def map_to_generic(raw: SourceRecord, mapping: FieldMapping) -> GenericRecord:
             values[spec.medium][spec.attribute] = value
 
     for medium in ("text", "image", "sound"):
-        if not present[medium]:
-            continue
-        for path in required_fields(medium):
-            if SCHEMA_FIELDS[path].attribute not in values[medium]:
+        for path in required_fields(medium) if present[medium] else ():
+            if path not in staged:
                 raise RequiredFieldMissing(path, f"required for {medium} and not mapped")
 
     record = GenericRecord(
@@ -352,11 +341,10 @@ def _parse_meta_lines(lines, locator: str) -> dict[str, str]:
     return fields
 
 
-def _tabular_rows(descriptor: SourceDescriptor) -> Iterator[tuple[int, str | None, dict | str]]:
-    """Read a tabular source row by row, yielding ``(line number, local_id, row)``.
+def _read_tabular(descriptor: SourceDescriptor, wanted: str | None) -> Iterator[SourceItem]:
+    """Read a tabular source row by row; a row's locator is ``line N``.
 
-    ``row`` is the raw fields of a well-formed row, or the problem message of
-    a malformed one, whose local_id is then None. Blank lines are skipped.
+    A row of the wrong width has local_id None; blank lines are skipped.
     """
     path = Path(descriptor.location)
     try:
@@ -373,44 +361,35 @@ def _tabular_rows(descriptor: SourceDescriptor) -> Iterator[tuple[int, str | Non
             cells = line.rstrip("\n").split("\t")
             if cells == [""]:
                 continue
-            if len(cells) != len(header):
-                yield line_no, None, f"expected {len(header)} columns, got {len(cells)}"
-            elif not cells[id_column]:
-                yield line_no, None, "empty local_id"
+            local_id = cells[id_column] if len(cells) == len(header) else None
+            if wanted is not None and local_id != wanted:
+                continue
+            if local_id is None:
+                fields = ("MalformedSourceRecord",
+                          f"expected {len(header)} columns, got {len(cells)}")
+            elif not local_id:
+                fields = ("MalformedSourceRecord", "empty local_id")
             else:
-                yield line_no, cells[id_column], dict(zip(header, cells))
+                fields = dict(zip(header, cells))
+            yield f"line {line_no}", local_id, fields
 
 
-def _harvest_tabular(descriptor: SourceDescriptor) -> HarvestResult:
-    records: dict[str, SourceRecord] = {}
-    problems: list[RecordProblem] = []
-    for line_no, local_id, row in _tabular_rows(descriptor):
-        if local_id in records:
-            row = f"duplicate local_id {local_id!r}"
-        if isinstance(row, str):
-            problems.append(RecordProblem(f"line {line_no}", "MalformedSourceRecord", row))
-        else:
-            records[local_id] = SourceRecord(descriptor.source_id, local_id, row)
-    ordered = tuple(records[k] for k in sorted(records))
-    return HarvestResult(descriptor.source_id, ordered, tuple(problems))
-
-
-def _harvest_file_tree(descriptor: SourceDescriptor) -> HarvestResult:
+def _read_file_tree(descriptor: SourceDescriptor, wanted: str | None) -> Iterator[SourceItem]:
+    """Read the ``<local_id>.meta`` files directly in a directory, in local_id order."""
     root = Path(descriptor.location)
     if not root.is_dir():
         raise SourceUnreachable(f"{descriptor.source_id}: {root} is not a directory")
-    records: list[SourceRecord] = []
-    problems: list[RecordProblem] = []
-    for meta in sorted(root.glob("*.meta"), key=lambda p: p.stem):
+    if wanted is None:
+        metas = sorted(root.glob("*.meta"), key=lambda p: p.stem)
+    else:  # a harvest lists file names only, so an id holding "/" would leave the directory
+        metas = [] if "/" in wanted else [root / f"{wanted}.meta"]
+    for meta in metas:
         local_id = meta.stem
         try:
-            lines = meta.read_text(encoding="utf-8").split("\n")
-            fields = _parse_meta_lines(lines, local_id)
+            fields = _parse_meta_lines(meta.read_text(encoding="utf-8").split("\n"), local_id)
         except (OSError, ValueError) as exc:
-            problems.append(RecordProblem(local_id, "MalformedSourceRecord", str(exc)))
-            continue
-        records.append(SourceRecord(descriptor.source_id, local_id, fields))
-    return HarvestResult(descriptor.source_id, tuple(records), tuple(problems))
+            fields = ("MalformedSourceRecord", str(exc))
+        yield local_id, local_id, fields
 
 
 class _RemoteFailure(Exception):
@@ -458,11 +437,6 @@ class _LineClient:
         except OSError as exc:
             raise SourceUnreachable(f"remote endpoint failed: {exc}") from exc
 
-    def request(self, command: str) -> list[str]:
-        """Send one command and return its reply."""
-        self.send(command)
-        return self.reply()
-
     def close(self):
         try:
             self._reader.close()
@@ -470,12 +444,6 @@ class _LineClient:
             self._sock.close()
         except OSError:
             pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
 
 
 def _parse_endpoint(location: str) -> tuple[str, int]:
@@ -486,14 +454,17 @@ def _parse_endpoint(location: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _harvest_remote_line(descriptor: SourceDescriptor) -> HarvestResult:
-    with _LineClient(descriptor.location) as client:
-        try:
-            local_ids = sorted({line for line in client.request("LIST") if line})
-        except _RemoteFailure as exc:
-            raise SourceUnreachable(f"{descriptor.source_id}: LIST failed: {exc}") from exc
-        records: list[SourceRecord] = []
-        problems: list[RecordProblem] = []
+def _read_remote_line(descriptor: SourceDescriptor, wanted: str | None) -> Iterator[SourceItem]:
+    """GET each listed local_id in sorted order, or only ``wanted`` without a LIST."""
+    with closing(_LineClient(descriptor.location)) as client:
+        if wanted is None:
+            client.send("LIST")
+            try:
+                local_ids = sorted({line for line in client.reply() if line})
+            except _RemoteFailure as exc:
+                raise SourceUnreachable(f"{descriptor.source_id}: LIST failed: {exc}") from exc
+        else:  # a LIST line holds no newline, and one in ``wanted`` would send two requests
+            local_ids = [] if "\n" in wanted else [wanted]
         # A sliding window of GET_WINDOW requests in flight: one more goes out
         # as each reply is read, so replies do not wait one round trip each
         # (pipelining, as in RFC 7230 §6.3.2).
@@ -504,44 +475,23 @@ def _harvest_remote_line(descriptor: SourceDescriptor) -> HarvestResult:
             try:
                 fields = _parse_meta_lines(client.reply(), local_id)
             except _RemoteFailure as exc:
-                problems.append(RecordProblem(local_id, "NotFoundAtSource", str(exc)))
+                fields = ("NotFoundAtSource", str(exc))
             except ValueError as exc:
-                problems.append(RecordProblem(local_id, "MalformedSourceRecord", str(exc)))
-            else:
-                records.append(SourceRecord(descriptor.source_id, local_id, fields))
-    return HarvestResult(descriptor.source_id, tuple(records), tuple(problems))
+                fields = ("MalformedSourceRecord", str(exc))
+            yield local_id, local_id, fields
 
 
-_ADAPTERS = {
-    "tabular": _harvest_tabular,
-    "file-tree": _harvest_file_tree,
-    "remote-line": _harvest_remote_line,
+#: One reader per adapter kind, through which ``harvest`` and ``resolve`` both
+#: read. A reader yields a ``SourceItem``, ``(locator, local_id, fields)``, per
+#: record in source order; ``fields`` is a ``(case, message)`` pair for a record
+#: that cannot be read. Given a ``wanted`` local_id, it yields only that id.
+_READERS = {
+    "tabular": _read_tabular,
+    "file-tree": _read_file_tree,
+    "remote-line": _read_remote_line,
 }
-
-
-def _fetch_one(descriptor: SourceDescriptor, local_id: str) -> SourceRecord:
-    if descriptor.kind == "file-tree":
-        meta = Path(descriptor.location) / f"{local_id}.meta"
-        if not meta.is_file():
-            raise NotFoundAtSource(f"{descriptor.source_id}:{local_id}")
-        try:
-            fields = _parse_meta_lines(meta.read_text(encoding="utf-8").split("\n"), local_id)
-        except ValueError as exc:
-            raise NotFoundAtSource(str(exc)) from exc
-        return SourceRecord(descriptor.source_id, local_id, fields)
-    if descriptor.kind == "remote-line":
-        with _LineClient(descriptor.location) as client:
-            try:
-                lines = client.request(f"GET {local_id}")
-                fields = _parse_meta_lines(lines, local_id)
-            except (_RemoteFailure, ValueError) as exc:
-                raise NotFoundAtSource(f"{descriptor.source_id}:{local_id}: {exc}") from exc
-        return SourceRecord(descriptor.source_id, local_id, fields)
-    # The first well-formed row with the id is the one a harvest keeps.
-    for _, row_id, row in _tabular_rows(descriptor):
-        if row_id == local_id:
-            return SourceRecord(descriptor.source_id, local_id, row)
-    raise NotFoundAtSource(f"{descriptor.source_id}:{local_id}")
+ADAPTER_KINDS = tuple(_READERS)
+SourceItem = tuple[str, "str | None", "dict[str, str] | tuple[str, str]"]
 
 
 # ---------------------------------------------------------------------------
@@ -580,21 +530,41 @@ class SourceRegistry:
         return [self._sources[k] for k in sorted(self._sources)]
 
     def harvest(self, source_id: str) -> HarvestResult:
-        """Enumerate a source's records in deterministic local_id order."""
+        """Enumerate a source's records in deterministic local_id order.
+
+        Unreadable records and repeats of a local_id become problems, in
+        source order; the first readable record with an id is the one kept.
+        """
         descriptor = self.get(source_id)
         if not descriptor.enabled:
             raise SourceDisabled(f"source {source_id!r} is disabled")
-        return _ADAPTERS[descriptor.kind](descriptor)
+        records: dict[str, SourceRecord] = {}
+        problems: list[RecordProblem] = []
+        for locator, local_id, fields in _READERS[descriptor.kind](descriptor, None):
+            if local_id in records:
+                fields = ("MalformedSourceRecord", f"duplicate local_id {local_id!r}")
+            if isinstance(fields, tuple):
+                problems.append(RecordProblem(locator, *fields))
+            else:
+                records[local_id] = SourceRecord(source_id, local_id, fields)
+        ordered = tuple(records[k] for k in sorted(records))
+        return HarvestResult(source_id, ordered, tuple(problems))
 
     def resolve(self, code: DocumentCode) -> SourceRecord:
-        """Fetch the full raw record behind ``code`` from its origin.
+        """Fetch the raw record behind ``code`` from its origin, as a harvest keeps it.
 
         URI codes are returned as a deferred-fetch record carrying only the
         URI; no content is downloaded.
         """
         if code.is_uri:
             return SourceRecord("uri", code.uri, {"uri": code.uri})
-        return _fetch_one(self.get(code.source_id), code.local_id)
+        descriptor = self.get(code.source_id)
+        # closing(): the reader's file or socket is shut when resolve returns early.
+        with closing(_READERS[descriptor.kind](descriptor, code.local_id)) as items:
+            for _, _, fields in items:
+                if not isinstance(fields, tuple):
+                    return SourceRecord(code.source_id, code.local_id, fields)
+        raise NotFoundAtSource(f"{code.source_id}:{code.local_id}")
 
 
 def ingest_source(store: "CatalogStore", source_id: str) -> IngestReport:
@@ -623,24 +593,16 @@ def ingest_source(store: "CatalogStore", source_id: str) -> IngestReport:
 # ---------------------------------------------------------------------------
 
 
-def _presence_rule_to_dict(rule: PresenceRule) -> dict:
-    out: dict[str, str] = {"medium": rule.medium, "field": rule.field}
-    if rule.equals is not None:
-        out["equals"] = rule.equals
-    return out
-
-
-def _field_rule_to_dict(rule: FieldRule) -> dict:
-    out: dict[str, str] = {"source": rule.source, "target": rule.target}
-    if rule.transform != "identity":
-        out["transform"] = rule.transform
-    return out
+def _rule_to_dict(rule: PresenceRule | FieldRule) -> dict[str, str]:
+    """A rule's JSON form: its fields, less those left at their default."""
+    return {f.name: getattr(rule, f.name) for f in dataclass_fields(rule)
+            if getattr(rule, f.name) != f.default}
 
 
 def mapping_to_dict(mapping: FieldMapping) -> dict:
     out: dict[str, object] = {
-        "presence": [_presence_rule_to_dict(r) for r in mapping.presence_rules],
-        "fields": [_field_rule_to_dict(r) for r in mapping.field_rules],
+        "presence": [_rule_to_dict(r) for r in mapping.presence_rules],
+        "fields": [_rule_to_dict(r) for r in mapping.field_rules],
     }
     if mapping.defaults:
         out["defaults"] = dict(mapping.defaults)
@@ -649,15 +611,25 @@ def mapping_to_dict(mapping: FieldMapping) -> dict:
     return out
 
 
-def _rule_objects(data: Mapping, key: str) -> list[Mapping]:
+def _text_object(value, what: str) -> dict[str, str]:
+    if not (isinstance(value, Mapping)
+            and all(isinstance(k, str) and isinstance(v, str) for k, v in value.items())):
+        raise InvalidMapping(f"{what} must be an object of strings, got {value!r}")
+    return dict(value)
+
+
+def _rule_objects(data: Mapping, key: str) -> list[dict[str, str]]:
     entries = data.get(key, [])
-    if not isinstance(entries, list) or not all(isinstance(e, Mapping) for e in entries):
+    if not isinstance(entries, list):
         raise InvalidMapping(f"mapping {key!r} must be a list of objects")
-    return entries
+    return [_text_object(entry, f"a {key!r} rule") for entry in entries]
 
 
 def mapping_from_dict(data: Mapping) -> FieldMapping:
-    """Build a mapping from its JSON form; :class:`InvalidMapping` if it is malformed."""
+    """Build a mapping from its JSON form; :class:`InvalidMapping` if it is malformed.
+
+    Every rule value, every default and ``uri_field`` must be a string.
+    """
     if not isinstance(data, Mapping):
         raise InvalidMapping(f"a mapping must be a JSON object, got {type(data).__name__}")
     try:
@@ -672,11 +644,14 @@ def mapping_from_dict(data: Mapping) -> FieldMapping:
         )
     except KeyError as exc:
         raise InvalidMapping(f"a mapping rule has no {exc} key") from None
+    uri_field = data.get("uri_field")
+    if "uri_field" in data and not isinstance(uri_field, str):
+        raise InvalidMapping(f"mapping 'uri_field' must be a string, got {uri_field!r}")
     return FieldMapping(
         presence_rules=presence,
         field_rules=rules,
-        defaults=dict(data.get("defaults", {})),
-        uri_field=data.get("uri_field"),
+        defaults=_text_object(data.get("defaults", {}), "mapping 'defaults'"),
+        uri_field=uri_field,
     )
 
 

@@ -228,6 +228,10 @@ def test_cube_blank_or_repeated_fix_is_usage_error(five_event_catalog, capsys):
         assert err.startswith("BadRequest: ")
 
 
+TEXT_MAPPING = {"presence": [{"medium": "text", "field": "kind"}],
+                "fields": [{"source": "title", "target": "text.title"}]}
+
+
 @pytest.mark.parametrize("mapping", [
     [1],
     "text",
@@ -235,6 +239,11 @@ def test_cube_blank_or_repeated_fix_is_usage_error(five_event_catalog, capsys):
     {"presence": [{"medium": "text", "field": "kind"}], "fields": ["title"]},
     {"presence": {"medium": "text"}},
     {"presence": [{"medium": "text"}]},
+    {**TEXT_MAPPING, "defaults": "abc"},
+    {**TEXT_MAPPING, "defaults": None},
+    {**TEXT_MAPPING, "defaults": {"text.author": 5}},
+    {**TEXT_MAPPING, "fields": [{"source": "title", "target": ["text.title"]}]},
+    {**TEXT_MAPPING, "uri_field": ["x"]},
 ])
 def test_source_register_malformed_mapping_is_invalid_mapping(tmp_path, capsys, mapping):
     mapping_file = tmp_path / "mapping.json"

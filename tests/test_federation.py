@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import shutil
 import socketserver
 import threading
 import time
@@ -21,10 +22,11 @@ from catalog_fixtures import (
     write_tabular_source,
 )
 from mediacube import federation
-from mediacube.codes import parse_document_code
+from mediacube.codes import DocumentCode, parse_document_code
 from mediacube.federation import (
     DuplicateSource,
     FieldMapping,
+    FieldTransformError,
     FieldRule,
     InvalidMapping,
     MappedRecordInvalid,
@@ -474,3 +476,83 @@ def test_tabular_resolve_stops_at_the_matching_row(tmp_path):
     with path.open("ab") as handle:
         handle.write(b"b9\tbook\t\xff\n")
     assert registry.resolve(parse_document_code("s01:b1")).raw_fields["title"] == "One"
+
+
+# -- one reader per kind: resolve reads a source as its harvest does -------------
+
+
+@contextmanager
+def source_of_kind(kind: str, tmp_path):
+    """Yield a registry holding one source of ``kind``, and a call that removes its location."""
+    if kind == "remote-line":
+        with LineSourceServer(sound_records(count=5)) as server:
+            yield registry_with(remote_source(server.endpoint)), server.close
+    elif kind == "tabular":
+        descriptor = write_tabular_source(tmp_path / "books.tsv", count=5, corrupt_line=True)
+        yield registry_with(descriptor), (tmp_path / "books.tsv").unlink
+    elif kind == "file-tree":
+        descriptor = write_file_tree_source(tmp_path / "imgs", count=5)
+        yield registry_with(descriptor), lambda: shutil.rmtree(tmp_path / "imgs")
+    else:
+        raise AssertionError(f"no test source for adapter kind {kind!r}")
+
+
+@pytest.mark.parametrize("kind", federation.ADAPTER_KINDS)
+def test_resolve_reads_every_kind_as_its_harvest_does(tmp_path, kind):
+    with source_of_kind(kind, tmp_path) as (registry, remove_location):
+        (descriptor,) = registry.list()
+        source_id = descriptor.source_id
+        harvested = registry.harvest(source_id).records
+        assert len(harvested) == 5
+        for raw in harvested:
+            assert registry.resolve(DocumentCode.compound(source_id, raw.local_id)) == raw
+        with pytest.raises(NotFoundAtSource) as missing:
+            registry.resolve(DocumentCode.compound(source_id, "ghost"))
+        assert str(missing.value) == f"{source_id}:ghost"
+        remove_location()
+        with pytest.raises(SourceUnreachable):
+            registry.resolve(DocumentCode.compound(source_id, harvested[0].local_id))
+        with pytest.raises(SourceUnreachable):
+            registry.harvest(source_id)
+
+
+@pytest.mark.parametrize("escape", ["relative", "absolute"])
+def test_file_tree_resolve_stays_in_its_directory(tmp_path, escape):
+    registry = registry_with(write_file_tree_source(tmp_path / "imgs", count=2))
+    (tmp_path / "outside.meta").write_text("colour\tRED\n", encoding="utf-8")
+    local_id = "../outside" if escape == "relative" else str(tmp_path / "outside")
+    with pytest.raises(NotFoundAtSource) as refused:
+        registry.resolve(DocumentCode.compound("gallery", local_id))
+    assert str(refused.value) == f"gallery:{local_id}"
+
+
+def test_remote_line_resolve_of_an_id_holding_a_newline_is_not_found():
+    with LineSourceServer(sound_records(count=3)) as server:
+        registry = registry_with(remote_source(server.endpoint))
+        with pytest.raises(NotFoundAtSource):
+            registry.resolve(DocumentCode.compound("radio", "s001\nGET s002"))
+
+
+# -- date-parse is what any date field gets ---------------------------------------
+
+
+def _mapped_reference_date(transform: str, when: str):
+    mapping = FieldMapping(
+        presence_rules=(PresenceRule(medium="text", field="title"),),
+        field_rules=(FieldRule(source="title", target="text.title"),
+                     FieldRule(source="when", target="text.reference_date",
+                               transform=transform)))
+    return map_to_generic(SourceRecord("s01", "b1", {"title": "X", "when": when}), mapping)
+
+
+def test_date_parse_rule_equals_identity_rule_on_a_date_field():
+    for when in ("2020-01-02", "2020/1/2"):
+        record = _mapped_reference_date("identity", when)
+        assert record == _mapped_reference_date("date-parse", when)
+        assert record.text.reference_date == date(2020, 1, 2)
+    messages = set()
+    for transform in ("date-parse", "identity"):
+        with pytest.raises(FieldTransformError) as failed:
+            _mapped_reference_date(transform, "2020-13-45")
+        messages.add(str(failed.value))
+    assert messages == {"text.reference_date: unparseable date: '2020-13-45'"}

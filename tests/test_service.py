@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from catalog_fixtures import make_five_event_store, write_tabular_source
+from catalog_fixtures import make_five_event_store, write_file_tree_source, write_tabular_source
 from mediacube.cli import main
 from mediacube.federation import ingest_source
 from mediacube.service import (
@@ -251,6 +251,17 @@ def test_resolve_with_missing_source_file_is_bad_gateway(tmp_path):
     with serving(store, tmp_path / "catalog.jsonl") as base:
         status, body = get(base, "/resolve/lib:b001")
     assert (status, body["error"]) == (502, "SourceUnreachable")
+
+
+@pytest.mark.parametrize("escape", ["relative", "absolute"])
+def test_resolve_of_a_file_tree_id_outside_its_directory_is_not_found(tmp_path, escape):
+    store = CatalogStore()
+    store.sources.register(write_file_tree_source(tmp_path / "imgs", count=2))
+    (tmp_path / "outside.meta").write_text("colour\tRED\n", encoding="utf-8")
+    local_id = "../outside" if escape == "relative" else str(tmp_path / "outside")
+    with serving(store, tmp_path / "catalog.jsonl") as base:
+        status, body = get(base, "/resolve/gallery:" + urllib.parse.quote(local_id, safe=""))
+    assert (status, body["error"]) == (404, "NotFoundAtSource")
 
 
 def test_post_storage_failure_is_service_unavailable(tmp_path):
