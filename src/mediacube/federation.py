@@ -424,6 +424,12 @@ class _LineClient:
         """
         lines: list[str] = []
         try:
+            # ACK at once (Linux only; the kernel clears the flag again): once we
+            # stop sending, the endpoint's Nagle holds its last reply for our ACK,
+            # which a delayed ACK (RFC 1122) sends about 40 ms late.
+            quickack = getattr(socket, "TCP_QUICKACK", None)
+            if quickack is not None:
+                self._sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
             while True:
                 line = self._reader.readline()
                 if line == "":

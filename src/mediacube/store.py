@@ -1,10 +1,12 @@
 """Catalog persistence: generic records, usage events, users, contexts.
 
 The store is a single-writer container; snapshots are immutable values that
-any number of readers may hold concurrently. The canonical on-disk form is
-UTF-8 JSON Lines, one object per line with a ``kind`` discriminator, keys
-in lexicographic order, sections ordered sources, records, users, contexts,
-events. Saving the same snapshot twice yields byte-identical files.
+any number of readers may hold concurrently. A usage event is written before
+it is applied, and every write replaces the file through a temporary file and
+a rename. The canonical on-disk form is UTF-8 JSON Lines, one object per line
+with a ``kind`` discriminator, keys in lexicographic order, sections ordered
+sources, records, users, contexts, events. Saving the same snapshot twice
+yields byte-identical files.
 
 The event log is held as columns, not as :class:`UsageEvent` objects: event
 ids and UTC epoch seconds in ``array('q')``, and the code text, context,
@@ -14,11 +16,14 @@ user and use type each dictionary-encoded in an ``array('i')``.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -234,6 +239,11 @@ class _Column:
         return map(self.values.__getitem__, self.indices)
 
 
+def _context_order(entry: ContextEntry) -> tuple:
+    """The order of ``list_contexts``: the four static contexts first, then by first_seen."""
+    return entry.origin != "static", entry.first_seen, entry.label
+
+
 def _static_context_table() -> dict[str, ContextEntry]:
     return {
         label: ContextEntry(label=label, origin="static", first_seen=_EPOCH)
@@ -306,41 +316,30 @@ class CatalogStore:
         entry first seen at the event's timestamp.
         """
         with self._lock:
-            code = str(event.document_code)
-            self._check_event(code, event.context, event.user_id, event.use_type)
-            timestamp = normalize_timestamp(event.timestamp)
-            if event.context not in self._contexts:
-                self._contexts[event.context] = ContextEntry(
-                    label=event.context, origin="dynamic", first_seen=timestamp)
-            event_id = self._next_event_id
-            self._append(event_id, code, event.context, event.user_id, timestamp, event.use_type)
-            return event_id
+            row = self._event_row(event)
+            self._append(*row)
+            return row[0]
 
     def record_usage_and_save(self, event: UsageEvent, path: str | Path) -> int:
-        """:meth:`record_usage`, then :meth:`save`; a failed save undoes the event.
+        """Write the catalog with ``event`` in it to ``path``, then apply the event.
 
-        If the save raises :class:`StorageIO`, the store is put back exactly as
-        it was, so memory never keeps an event the file lacks. Like the save
-        itself, the undo relies on the store having a single writer; a reader
-        may see the event while the file is being written.
+        The store lock is held throughout, and the event is appended as by
+        :meth:`record_usage` only once the file holds it, so the file equals
+        :meth:`save` of the new state. A write that fails raises
+        :class:`StorageIO` and leaves both the store and the old file as they were.
         """
         with self._lock:
-            rows, next_id, snapshot = len(self._event_ids), self._next_event_id, self._snapshot
-            novel = event.context not in self._contexts
-            event_id = self.record_usage(event)
-        try:
-            self.save(path)
-        except StorageIO:
-            with self._lock:
-                for column in (self._event_ids, self._event_seconds, self._event_codes.indices,
-                               self._event_contexts.indices, self._event_users.indices,
-                               self._event_use_types.indices):
-                    del column[rows:]
-                if novel:
-                    del self._contexts[event.context]
-                self._next_event_id, self._snapshot = next_id, snapshot
-            raise
-        return event_id
+            row = self._event_row(event)
+            _write_catalog(path, self._serialized_objects(row))
+            self._append(*row)
+            return row[0]
+
+    def _event_row(self, event: UsageEvent) -> tuple:
+        """Check ``event`` and build its row: id, epoch seconds, code, context, user, use type."""
+        code = str(event.document_code)
+        self._check_event(code, event.context, event.user_id, event.use_type)
+        seconds = (normalize_timestamp(event.timestamp) - _EPOCH) // _SECOND
+        return self._next_event_id, seconds, code, event.context, event.user_id, event.use_type
 
     def _check_event(self, code: str, context, user_id, use_type) -> None:
         """Refuse an event that ``record_usage`` or ``load`` must not admit."""
@@ -353,11 +352,14 @@ class CatalogStore:
         if user_id not in self._users:
             raise UnknownUser(f"user {user_id!r} is not registered")
 
-    def _append(self, event_id: int, code: str, context: str, user_id: str,
-                timestamp: datetime, use_type: str) -> None:
-        """Add one checked row above the last id; ``timestamp`` is normalized, the lock held."""
+    def _append(self, event_id: int, seconds: int, code: str, context: str, user_id: str,
+                use_type: str) -> None:
+        """Add one checked row above the last id, registering a novel context; the lock held."""
+        if context not in self._contexts:
+            self._contexts[context] = ContextEntry(
+                label=context, origin="dynamic", first_seen=_instant(seconds))
         self._event_ids.append(event_id)
-        self._event_seconds.append((timestamp - _EPOCH) // _SECOND)
+        self._event_seconds.append(seconds)
         self._event_codes.append(code)
         self._event_contexts.append(context)
         self._event_users.append(user_id)
@@ -367,10 +369,7 @@ class CatalogStore:
 
     def list_contexts(self) -> list[ContextEntry]:
         """All context entries, the four static ones first, then by first_seen."""
-        return sorted(
-            self._contexts.values(),
-            key=lambda c: (c.origin != "static", c.first_seen, c.label),
-        )
+        return sorted(self._contexts.values(), key=_context_order)
 
     # -- snapshots -----------------------------------------------------------
 
@@ -395,45 +394,47 @@ class CatalogStore:
 
     def save(self, path: str | Path) -> None:
         """Write the canonical JSON Lines form; byte-deterministic."""
-        lines = [_dump_line(obj) for obj in self._serialized_objects()]
-        try:
-            Path(path).write_text("".join(lines), encoding="utf-8")
-        except OSError as exc:
-            raise StorageIO(f"cannot write {path}: {exc}") from exc
-
-    def _serialized_objects(self) -> Iterable[dict]:
         with self._lock:
-            for descriptor in self.sources.list():
-                yield {"kind": "source", **source_to_dict(descriptor)}
-            for code in sorted(self._records):
-                yield {"kind": "record", **record_to_dict(self._records[code])}
-            for user_id in sorted(self._users):
-                profile = self._users[user_id]
-                obj = {"kind": "user", "user_id": profile.user_id, "name": profile.name}
-                if profile.address is not None:
-                    obj["address"] = profile.address
-                if profile.social_class is not None:
-                    obj["social_class"] = profile.social_class
-                yield obj
-            for entry in self.list_contexts():
-                yield {
-                    "kind": "context",
-                    "label": entry.label,
-                    "origin": entry.origin,
-                    "first_seen": format_timestamp(entry.first_seen),
-                }
-            for event_id, seconds, code, context, user_id, use_type in zip(
-                    self._event_ids, self._event_seconds, self._event_codes,
-                    self._event_contexts, self._event_users, self._event_use_types):
-                yield {
-                    "kind": "event",
-                    "event_id": event_id,
-                    "document_code": code,
-                    "context": context,
-                    "user_id": user_id,
-                    "timestamp": format_timestamp(_instant(seconds)),
-                    "use_type": use_type,
-                }
+            _write_catalog(path, self._serialized_objects())
+
+    def _serialized_objects(self, row: tuple | None = None) -> Iterable[dict]:
+        """The catalog's lines, with an unapplied event ``row`` as if appended; the lock held."""
+        for descriptor in self.sources.list():
+            yield {"kind": "source", **source_to_dict(descriptor)}
+        for code in sorted(self._records):
+            yield {"kind": "record", **record_to_dict(self._records[code])}
+        for user_id in sorted(self._users):
+            profile = self._users[user_id]
+            obj = {"kind": "user", "user_id": profile.user_id, "name": profile.name}
+            if profile.address is not None:
+                obj["address"] = profile.address
+            if profile.social_class is not None:
+                obj["social_class"] = profile.social_class
+            yield obj
+        contexts = list(self._contexts.values())
+        if row is not None and row[3] not in self._contexts:  # as ``_append`` will register it
+            contexts.append(ContextEntry(label=row[3], origin="dynamic",
+                                         first_seen=_instant(row[1])))
+        for entry in sorted(contexts, key=_context_order):
+            yield {
+                "kind": "context",
+                "label": entry.label,
+                "origin": entry.origin,
+                "first_seen": format_timestamp(entry.first_seen),
+            }
+        rows = chain(zip(self._event_ids, self._event_seconds, self._event_codes,
+                         self._event_contexts, self._event_users, self._event_use_types),
+                     [row] if row is not None else ())
+        for event_id, seconds, code, context, user_id, use_type in rows:
+            yield {
+                "kind": "event",
+                "event_id": event_id,
+                "document_code": code,
+                "context": context,
+                "user_id": user_id,
+                "timestamp": format_timestamp(_instant(seconds)),
+                "use_type": use_type,
+            }
 
     @classmethod
     def load(cls, path: str | Path) -> "CatalogStore":
@@ -441,15 +442,16 @@ class CatalogStore:
 
         The file is read one line at a time. Records pass :meth:`put_record`,
         users :meth:`register_user` and events the check of :meth:`record_usage`;
-        on top, event ids must increase and each event's context must have its
-        registry line. A line that is not UTF-8, not a JSON object, or refused
-        raises :class:`CorruptCatalog` naming the line.
+        on top, event ids must increase, each event's context must have its
+        registry line, and a context line must be one a write can create. A line
+        that is not UTF-8, not a JSON object, or refused raises
+        :class:`CorruptCatalog` naming the line.
         """
         try:
             file = open(path, "rb")
         except OSError as exc:
             raise StorageIO(f"cannot read {path}: {exc}") from exc
-        store = cls()
+        store, declared = cls(), set()
         with file:
             # Lines end at b"\n", a byte no multi-byte UTF-8 character contains.
             for line_number, raw in enumerate(file, start=1):
@@ -465,12 +467,13 @@ class CatalogStore:
                 if not isinstance(data, dict):
                     raise CorruptCatalog(line_number, f"not a JSON object: {data!r:.40}")
                 try:
-                    store._apply_loaded(data)
+                    store._apply_loaded(data, declared)
                 except (MediaCubeError, AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise CorruptCatalog(line_number, str(exc)) from exc
         return store
 
-    def _apply_loaded(self, data: dict) -> None:
+    def _apply_loaded(self, data: dict, declared: set[str]) -> None:
+        """Admit one decoded line; ``declared`` holds the labels of earlier context lines."""
         kind = data.get("kind")
         if kind == "source":
             self.sources.register(source_from_dict(data))
@@ -484,11 +487,21 @@ class CatalogStore:
                 social_class=data.get("social_class"),
             ))
         elif kind == "context":
-            self._contexts[data["label"]] = ContextEntry(
-                label=data["label"],
-                origin=data["origin"],
-                first_seen=parse_timestamp(data["first_seen"]),
-            )
+            # Only the lines a write can create: each label once, the four static
+            # contexts as a fresh store holds them, and any other label dynamic.
+            label, origin = data["label"], data["origin"]
+            entry = ContextEntry(label=label, origin=origin,
+                                 first_seen=parse_timestamp(data["first_seen"]))
+            if not isinstance(label, str) or not label:
+                raise ValueError(f"context label must be a non-empty string, got {label!r}")
+            if label in declared:
+                raise ValueError(f"context {label!r} is declared twice")
+            if label in STATIC_CONTEXTS and entry != self._contexts[label]:
+                raise ValueError(f"context {label!r} must be static, first seen at the epoch")
+            if label not in STATIC_CONTEXTS and origin != "dynamic":
+                raise ValueError(f"context {label!r} must be dynamic, got origin {origin!r}")
+            declared.add(label)
+            self._contexts[label] = entry
         elif kind == "event":
             # A record key is canonical code text, so ``code`` needs no parse.
             event_id, code = data["event_id"], data["document_code"]
@@ -498,8 +511,8 @@ class CatalogStore:
             self._check_event(code, context, user_id, use_type)
             if context not in self._contexts:
                 raise ValueError(f"event {event_id} context {context!r} has no registry line")
-            self._append(event_id, code, context, user_id,
-                         parse_timestamp(data["timestamp"]), use_type)
+            seconds = (parse_timestamp(data["timestamp"]) - _EPOCH) // _SECOND
+            self._append(event_id, seconds, code, context, user_id, use_type)
         else:
             raise ValueError(f"unknown object kind {kind!r}")
 
@@ -509,3 +522,16 @@ _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",",
 
 def _dump_line(obj: dict) -> str:
     return _ENCODER.encode(obj) + "\n"
+
+
+def _write_catalog(path: str | Path, objects: Iterable[dict]) -> None:
+    """Replace ``path`` through a temporary file and a rename; a failure leaves it as it was."""
+    path = Path(path)
+    temp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        temp.write_text("".join(map(_dump_line, objects)), encoding="utf-8")
+        os.replace(temp, path)
+    except OSError as exc:
+        with suppress(OSError):
+            temp.unlink()
+        raise StorageIO(f"cannot write {path}: {exc}") from exc

@@ -11,6 +11,7 @@ write would.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import shutil
 import tempfile
@@ -33,6 +34,7 @@ from mediacube import (
 from mediacube.store import (
     STATIC_CONTEXTS,
     CorruptCatalog,
+    StorageIO,
     UnknownDocument,
     UnknownUser,
 )
@@ -111,6 +113,32 @@ class CatalogModel(RuleBasedStateMachine):
                 user_id=user_id, timestamp=event.timestamp, use_type=use_type))
             if context not in STATIC_CONTEXTS:
                 self.first_seen.setdefault(context, event.timestamp)
+
+    @precondition(lambda self: self.records and self.users)
+    @rule(data=st.data(), context=st.sampled_from(CONTEXTS),
+          offset=st.integers(0, WINDOW_DAYS * 86400 - 1) | MIDNIGHTS,
+          use_type=st.sampled_from(("repetitive", "occasional")), missing_dir=st.booleans())
+    def record_usage_and_save(self, data, context, offset, use_type, missing_dir):
+        """Written, then applied: the file is ``save()`` of the new state, and a failed write
+        changes neither the store nor the last written file."""
+        record = self.records[data.draw(st.sampled_from(sorted(self.records)))]
+        user_id = data.draw(st.sampled_from(sorted(self.users)))
+        event = UsageEvent(document_code=record.document_code, context=context, user_id=user_id,
+                           timestamp=START + timedelta(seconds=offset), use_type=use_type)
+        if missing_dir:
+            before, written = self.store.snapshot(), self.path.read_bytes()
+            with pytest.raises(StorageIO):
+                self.store.record_usage_and_save(event, self.dir / "missing" / "catalog.jsonl")
+            assert self.store.snapshot() == before
+            assert self.path.read_bytes() == written
+            return
+        event_id = self.store.record_usage_and_save(event, self.path)
+        assert event_id == len(self.events) + 1
+        self.events.append(dataclasses.replace(event, event_id=event_id))
+        if context not in STATIC_CONTEXTS:
+            self.first_seen.setdefault(context, event.timestamp)
+        written = self.path.read_bytes()
+        assert self._saved() == written
 
     # -- checks ----------------------------------------------------------------
 

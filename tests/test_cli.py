@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import mediacube
 from catalog_fixtures import write_tabular_source
 from mediacube.cli import main
 from mediacube.federation import mapping_to_dict
@@ -262,3 +268,26 @@ def test_catalog_line_not_utf8_is_corrupt_catalog(five_event_catalog, capsys):
     lines = five_event_catalog.read_bytes().count(b"\n")
     assert (code, err.split(":")[0]) == (1, "CorruptCatalog")
     assert f"CorruptCatalog: line {lines}: not UTF-8" in err
+
+
+def test_usage_log_over_the_file_size_limit_leaves_the_catalog_whole(five_event_catalog):
+    pytest.importorskip("resource")
+    before = five_event_catalog.read_bytes()
+    # The limit admits the old file but not the new one, whose novel context
+    # line moves every event line down: a truncating write would cut line 14.
+    script = textwrap.dedent(f"""
+        import resource, sys
+        from mediacube.cli import main
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        resource.setrlimit(resource.RLIMIT_FSIZE, ({len(before)}, hard))
+        sys.exit(main(sys.argv[1:]))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(mediacube.__file__).resolve().parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", script, "--catalog", str(five_event_catalog), "usage-log",
+         "--doc", "fx:d1", "--context", "seminar", "--user", "u1", "--type", "occasional"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert child.returncode == 1, child.stderr
+    assert child.stderr.startswith("StorageIO: cannot write")
+    assert five_event_catalog.read_bytes() == before
+    assert list(five_event_catalog.parent.iterdir()) == [five_event_catalog]

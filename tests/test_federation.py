@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import shutil
+import socket
 import socketserver
+import statistics
 import threading
 import time
 from contextlib import contextmanager
@@ -412,6 +414,21 @@ def test_linewise_remote_harvest_does_not_stall_per_record():
         elapsed = time.monotonic() - started
     assert len(result.records) == 100
     assert elapsed < 1.5, f"harvest of 100 records took {elapsed:.2f} s"
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="TCP_QUICKACK is Linux only")
+def test_pipelined_remote_harvest_does_not_wait_on_a_delayed_ack():
+    # Once the client has sent its last GET, the endpoint's final reply waits
+    # for the client's ACK; a delayed ACK costs about 40 ms per harvest.
+    with LineSourceServer(sound_records(count=40)) as server:
+        registry = registry_with(remote_source(server.endpoint))
+        elapsed = []
+        for _ in range(5):
+            started = time.perf_counter()
+            result = registry.harvest("radio")
+            elapsed.append(time.perf_counter() - started)
+    assert len(result.records) == 40
+    assert statistics.median(elapsed) < 0.020, f"harvests took {elapsed}"
 
 
 # -- single-scan tabular resolve ---------------------------------------------------

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -342,6 +344,18 @@ LOAD_REJECTIONS = {
     "empty-context": (_set(9, "context", ""), 9, "context label must be a non-empty string"),
     "descriptor-not-an-object": (_set(1, "text", "D1"), 1, "'str' object"),
     "timestamp-not-text": (_set(13, "timestamp", 5), 13, "'int' object"),
+    "context-origin-bogus": (_set(5, "origin", "bogus"), 5,
+                             "'documentation' must be static"),
+    "static-context-marked-dynamic": (_set(6, "origin", "dynamic"), 6,
+                                      "'entertainment' must be static"),
+    "static-context-not-at-epoch": (_set(7, "first_seen", "2024-01-01T00:00:00Z"), 7,
+                                    "first seen at the epoch"),
+    "context-declared-twice": (_set(6, "label", "documentation"), 6,
+                               "'documentation' is declared twice"),
+    "novel-context-marked-static": (_set(8, "label", "seminar"), 8,
+                                    "'seminar' must be dynamic, got origin 'static'"),
+    "context-label-not-a-string": (_set(5, "label", 5), 5,
+                                   "context label must be a non-empty string"),
 }
 
 
@@ -522,3 +536,51 @@ def test_load_streams_the_file_and_keeps_events_as_columns(tmp_path):
     assert peak - retained < size / 4, (peak - retained, size)
     # Two 8-byte and four 4-byte columns per event, plus array headroom.
     assert retained / 20_000 < 64, retained / 20_000
+
+
+# -- writing the catalog file --------------------------------------------------
+
+
+def test_a_reader_during_a_failed_usage_write_sees_the_store_before_it(tmp_path, monkeypatch):
+    store = make_five_event_store()
+    seen: list[int] = []
+    reader = threading.Thread(target=lambda: seen.append(len(store.snapshot().event_ids)))
+
+    def failing_write(self, *args, **kwargs):
+        reader.start()
+        reader.join(timeout=0.5)  # it returns here unless the write holds the store lock
+        raise OSError("simulated write failure")
+
+    monkeypatch.setattr(Path, "write_text", failing_write)
+    with pytest.raises(StorageIO):
+        store.record_usage_and_save(event(context="seminar"), tmp_path / "catalog.jsonl")
+    reader.join(timeout=5)
+    assert not reader.is_alive()
+    assert seen == [5]
+    assert store.snapshot() == make_five_event_store().snapshot()
+
+
+@pytest.mark.parametrize("context, when", [
+    ("teaching", "2024-02-01T00:00:00"),  # static
+    ("seminar", "2024-02-01T00:00:00"),  # dynamic, already registered
+    ("atelier", "2024-02-01T00:00:00"),  # novel, first seen before "seminar"
+    ("workshop", "2024-04-01T00:00:00"),  # novel, first seen after it
+])
+def test_a_usage_write_is_byte_identical_to_a_save_of_the_same_state(tmp_path, context, when):
+    store = make_five_event_store()
+    store.record_usage(event(context="seminar", when="2024-03-01T00:00:00"))
+    path = tmp_path / "catalog.jsonl"
+    assert store.record_usage_and_save(event(context=context, when=when), path) == 7
+    written = path.read_bytes()
+    store.save(path)
+    assert path.read_bytes() == written
+    assert CatalogStore.load(path).snapshot() == store.snapshot()
+
+
+@pytest.mark.parametrize("name", ["catalog.jsonl", "."])
+def test_a_save_over_a_directory_fails_and_leaves_no_temporary_file(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    Path(name).mkdir(exist_ok=True)  # os.replace cannot put a file over a directory
+    with pytest.raises(StorageIO):
+        make_five_event_store().save(name)
+    assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
