@@ -6,6 +6,10 @@ that class implies. Controlled vocabularies pin the enumerated value lists;
 closed vocabularies reject unseen members, open ones accept them with a
 warning.
 
+The descriptor dataclasses are the generic schema: a field's annotation gives
+its kind, a field without a default is required, and ``_in`` names its
+vocabulary. ``SCHEMA_FIELDS`` and the other schema tables are read from them.
+
 Label matching is exact and case-sensitive; ingestion mappings normalize
 case where sources disagree.
 """
@@ -16,7 +20,8 @@ import dataclasses
 from dataclasses import dataclass
 from datetime import date
 from itertools import repeat
-from typing import Callable, Iterable, Mapping
+from types import UnionType
+from typing import Callable, Iterable, Mapping, get_type_hints
 
 from .codes import DocumentCode, format_document_code, parse_document_code
 from .errors import MediaCubeError
@@ -80,6 +85,11 @@ BUILTIN_VOCABULARIES: dict[str, ControlledVocabulary] = {
 }
 
 
+def _in(vocabulary: str, default=dataclasses.MISSING):
+    """A descriptor field whose labels come from ``vocabulary``; no default means required."""
+    return dataclasses.field(default=default, metadata={"vocabulary": vocabulary})
+
+
 @dataclass(frozen=True, kw_only=True)
 class TextDescriptor:
     """Metadata for the text facet of a document."""
@@ -96,21 +106,21 @@ class TextDescriptor:
 class ImageDescriptor:
     """Metadata for the image facet, restricted to visible physical properties."""
 
-    dominant_colour: str
-    secondary_colour: str | None = None
-    dominant_shape: str
-    secondary_shape: str | None = None
-    shape_specificity: str | None = None
-    dominant_object: str | None = None
-    object_specificity: str | None = None
-    secondary_object: str | None = None
-    dominant_feature: str | None = None
-    secondary_feature: str | None = None
-    dominant_feature_subclass: str | None = None
-    secondary_feature_subclass: str | None = None
+    dominant_colour: str = _in("colour")
+    secondary_colour: str | None = _in("colour", None)
+    dominant_shape: str = _in("shape")
+    secondary_shape: str | None = _in("shape", None)
+    shape_specificity: str | None = _in("shape-specificity", None)
+    dominant_object: str | None = _in("object", None)
+    object_specificity: str | None = _in("object-specificity", None)
+    secondary_object: str | None = _in("object", None)
+    dominant_feature: str | None = _in("feature", None)
+    secondary_feature: str | None = _in("feature", None)
+    dominant_feature_subclass: str | None = _in("feature-subclass", None)
+    secondary_feature_subclass: str | None = _in("feature-subclass", None)
     image_format: str
-    image_medium: str
-    image_type: str
+    image_medium: str = _in("medium")
+    image_type: str = _in("image-type")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -118,21 +128,17 @@ class SoundDescriptor:
     """Metadata for the sound facet of a document."""
 
     originator: str
-    target: str = "not-specified"
+    target: str = _in("target", "not-specified")
     descriptors: tuple[str, ...] = ()
     publication_date: date | None = None
-    sound_type: str
-    sound_class: str | None = None
-    sound_subclass: str | None = None
+    sound_type: str = _in("sound-type")
+    sound_class: str | None = _in("sound-class", None)
+    sound_subclass: str | None = _in("sound-subclass", None)
 
 
 Descriptor = TextDescriptor | ImageDescriptor | SoundDescriptor
 
-_DESCRIPTOR_TYPES: dict[str, type] = {
-    "text": TextDescriptor,
-    "image": ImageDescriptor,
-    "sound": SoundDescriptor,
-}
+_DESCRIPTOR_TYPES = dict(zip(MEDIA, (TextDescriptor, ImageDescriptor, SoundDescriptor)))
 _MEDIUM_OF = {t: medium for medium, t in _DESCRIPTOR_TYPES.items()}
 
 
@@ -188,63 +194,43 @@ CODES = FieldKind("codes", tuple, DocumentCode, lambda value: list(map(str, valu
                   _from(list, lambda raw: tuple(map(parse_document_code, raw))))
 
 
+#: The kind of each field annotation that is not ``X | None``.
+_KIND_OF = {kind.type if kind.item_type is None else tuple[kind.item_type, ...]: kind
+            for kind in (LABEL, DATE, LABELS, CODES)}
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """Shape of one generic-schema field, addressed by its dotted path."""
+    """Shape of one generic-schema field; ``path`` is ``medium.attribute``."""
 
     path: str
-    kind: FieldKind = LABEL
-    required: bool = False
-    vocabulary: str | None = None
-    # The two halves of ``path``, split once here rather than on every read.
-    medium: str = dataclasses.field(init=False, repr=False, compare=False)
-    attribute: str = dataclasses.field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        medium, _, attribute = self.path.partition(".")
-        object.__setattr__(self, "medium", medium)
-        object.__setattr__(self, "attribute", attribute)
+    medium: str
+    attribute: str
+    kind: FieldKind
+    required: bool
+    vocabulary: str | None
 
 
+def _schema_of(medium: str) -> dict[str, FieldSpec]:
+    """The schema fields of ``medium`` by attribute name, read from its dataclass."""
+    cls = _DESCRIPTOR_TYPES[medium]
+    hints = get_type_hints(cls)
+    specs = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if isinstance(hint, UnionType):  # ``X | None`` has the kind of ``X``
+            hint = hint.__args__[0]
+        specs[f.name] = FieldSpec(
+            path=f"{medium}.{f.name}", medium=medium, attribute=f.name, kind=_KIND_OF[hint],
+            required=f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+            vocabulary=f.metadata.get("vocabulary"))
+    return specs
+
+
+#: The schema fields of each medium by attribute name, in dataclass field order.
+MEDIUM_FIELDS: dict[str, dict[str, FieldSpec]] = {m: _schema_of(m) for m in MEDIA}
 SCHEMA_FIELDS: dict[str, FieldSpec] = {
-    f.path: f
-    for f in (
-        FieldSpec("text.author"),
-        FieldSpec("text.title", required=True),
-        FieldSpec("text.summary"),
-        FieldSpec("text.reference_date", kind=DATE),
-        FieldSpec("text.descriptors", kind=LABELS),
-        FieldSpec("text.related_documents", kind=CODES),
-        FieldSpec("image.dominant_colour", required=True, vocabulary="colour"),
-        FieldSpec("image.secondary_colour", vocabulary="colour"),
-        FieldSpec("image.dominant_shape", required=True, vocabulary="shape"),
-        FieldSpec("image.secondary_shape", vocabulary="shape"),
-        FieldSpec("image.shape_specificity", vocabulary="shape-specificity"),
-        FieldSpec("image.dominant_object", vocabulary="object"),
-        FieldSpec("image.object_specificity", vocabulary="object-specificity"),
-        FieldSpec("image.secondary_object", vocabulary="object"),
-        FieldSpec("image.dominant_feature", vocabulary="feature"),
-        FieldSpec("image.secondary_feature", vocabulary="feature"),
-        FieldSpec("image.dominant_feature_subclass", vocabulary="feature-subclass"),
-        FieldSpec("image.secondary_feature_subclass", vocabulary="feature-subclass"),
-        FieldSpec("image.image_format", required=True),
-        FieldSpec("image.image_medium", required=True, vocabulary="medium"),
-        FieldSpec("image.image_type", required=True, vocabulary="image-type"),
-        FieldSpec("sound.originator", required=True),
-        FieldSpec("sound.target", vocabulary="target"),
-        FieldSpec("sound.descriptors", kind=LABELS),
-        FieldSpec("sound.publication_date", kind=DATE),
-        FieldSpec("sound.sound_type", required=True, vocabulary="sound-type"),
-        FieldSpec("sound.sound_class", vocabulary="sound-class"),
-        FieldSpec("sound.sound_subclass", vocabulary="sound-subclass"),
-    )
-}
-
-
-#: The schema fields of each medium by attribute name, in ``SCHEMA_FIELDS`` order.
-MEDIUM_FIELDS: dict[str, dict[str, FieldSpec]] = {
-    m: {f.attribute: f for f in SCHEMA_FIELDS.values() if f.medium == m} for m in MEDIA
-}
+    f.path: f for fields in MEDIUM_FIELDS.values() for f in fields.values()}
 #: Per medium, the kind of each field whose JSON value is not the value itself.
 _CONVERTED = {m: {name: f.kind for name, f in fields.items() if f.kind is not LABEL}
               for m, fields in MEDIUM_FIELDS.items()}

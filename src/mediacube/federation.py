@@ -35,7 +35,7 @@ from .codes import DocumentCode, MalformedCode, SOURCE_ID_PATTERN, parse_documen
 from .descriptors import (
     CODES,
     DATE,
-    LABELS,
+    MEDIA,
     GenericRecord,
     SCHEMA_FIELDS,
     make_descriptor,
@@ -47,8 +47,6 @@ from .taxonomy import MediaPresence, classify
 
 if TYPE_CHECKING:
     from .store import CatalogStore
-
-TRANSFORMS = ("identity", "lowercase", "date-parse", "split-list")
 
 REMOTE_TIMEOUT = 10.0
 #: Remote-line GETs kept in flight during a harvest.
@@ -193,7 +191,7 @@ def validate_mapping(mapping: FieldMapping) -> None:
     if not mapping.presence_rules:
         raise InvalidMapping("mapping declares no presence rules")
     for rule in mapping.presence_rules:
-        if rule.medium not in ("text", "image", "sound"):
+        if rule.medium not in MEDIA:
             raise InvalidMapping(f"presence rule names unknown medium {rule.medium!r}")
         if not rule.field:
             raise InvalidMapping(f"presence rule for {rule.medium} names no raw field")
@@ -207,7 +205,7 @@ def validate_mapping(mapping: FieldMapping) -> None:
             raise InvalidMapping(f"{rule.target}: unknown transform {rule.transform!r}")
         if rule.transform == "date-parse" and spec.kind != DATE:
             raise InvalidMapping(f"{rule.target}: date-parse targets a non-date field")
-        if rule.transform == "split-list" and spec.kind not in (LABELS, CODES):
+        if rule.transform == "split-list" and spec.kind.item_type is None:
             raise InvalidMapping(f"{rule.target}: split-list targets a scalar field")
     for target in mapping.defaults:
         if target not in SCHEMA_FIELDS:
@@ -248,7 +246,7 @@ def _coerce(path: str, value: str | tuple[str, ...]) -> object:
     """Coerce a transformed value to the kind its generic field expects."""
     kind = SCHEMA_FIELDS[path].kind
     try:
-        if kind in (LABELS, CODES):
+        if kind.item_type is not None:
             items = value if isinstance(value, tuple) else (value,)
             return tuple(map(parse_document_code, items)) if kind == CODES else items
         if isinstance(value, tuple):
@@ -258,13 +256,15 @@ def _coerce(path: str, value: str | tuple[str, ...]) -> object:
         raise FieldTransformError(f"{path}: {exc}") from exc
 
 
-def _apply_transform(rule: FieldRule, value: str) -> str | tuple[str, ...]:
-    """Apply a rule's transform; ``date-parse`` is left to :func:`_coerce`, as for any date."""
-    if rule.transform == "lowercase":
-        return value.lower()
-    if rule.transform == "split-list":
-        return _split_list(value)
-    return value
+#: Each transform's function on a raw value; ``date-parse`` leaves the value to
+#: :func:`_coerce`, as for any date.
+_TRANSFORMS = {
+    "identity": lambda value: value,
+    "lowercase": str.lower,
+    "date-parse": lambda value: value,
+    "split-list": _split_list,
+}
+TRANSFORMS = tuple(_TRANSFORMS)
 
 
 def map_to_generic(raw: SourceRecord, mapping: FieldMapping) -> GenericRecord:
@@ -278,7 +278,7 @@ def map_to_generic(raw: SourceRecord, mapping: FieldMapping) -> GenericRecord:
     present = {
         medium: any(r.satisfied_by(raw.raw_fields)
                     for r in mapping.presence_rules if r.medium == medium)
-        for medium in ("text", "image", "sound")
+        for medium in MEDIA
     }
     presence = MediaPresence(**present)
     if not presence.any:
@@ -295,18 +295,18 @@ def map_to_generic(raw: SourceRecord, mapping: FieldMapping) -> GenericRecord:
         value = raw.raw_fields.get(rule.source)
         if value is None or value == "":
             continue
-        staged[rule.target] = _coerce(rule.target, _apply_transform(rule, value))
+        staged[rule.target] = _coerce(rule.target, _TRANSFORMS[rule.transform](value))
     for target, value in mapping.defaults.items():
         if target not in staged:
             staged[target] = _coerce(target, value)
 
-    values: dict[str, dict[str, object]] = {m: {} for m in ("text", "image", "sound")}
+    values: dict[str, dict[str, object]] = {m: {} for m in MEDIA}
     for path, value in staged.items():
         spec = SCHEMA_FIELDS[path]
         if present[spec.medium]:
             values[spec.medium][spec.attribute] = value
 
-    for medium in ("text", "image", "sound"):
+    for medium in MEDIA:
         for path in required_fields(medium) if present[medium] else ():
             if path not in staged:
                 raise RequiredFieldMissing(path, f"required for {medium} and not mapped")
@@ -314,8 +314,7 @@ def map_to_generic(raw: SourceRecord, mapping: FieldMapping) -> GenericRecord:
     record = GenericRecord(
         document_code=code,
         media_class=classify(presence),
-        **{m: make_descriptor(m, values[m]) if present[m] else None
-           for m in ("text", "image", "sound")},
+        **{m: make_descriptor(m, values[m]) if present[m] else None for m in MEDIA},
     )
     report = validate_record(record)
     if not report.ok:
@@ -519,6 +518,10 @@ class SourceRegistry:
         if descriptor.kind not in ADAPTER_KINDS:
             raise InvalidMapping(
                 f"unknown adapter kind {descriptor.kind!r}; expected one of {ADAPTER_KINDS}")
+        if not isinstance(descriptor.location, str):
+            raise InvalidMapping(f"source location must be a string, got {descriptor.location!r}")
+        if not isinstance(descriptor.enabled, bool):
+            raise InvalidMapping(f"source enabled must be a bool, got {descriptor.enabled!r}")
         validate_mapping(descriptor.mapping)
         with self._write_lock:
             if descriptor.source_id in self._sources:
@@ -686,5 +689,5 @@ def source_from_dict(data: Mapping) -> SourceDescriptor:
         kind=data["adapter"],
         location=data["location"],
         mapping=mapping_from_dict(data.get("mapping", {})),
-        enabled=bool(data.get("enabled", True)),
+        enabled=data.get("enabled", True),
     )

@@ -295,8 +295,14 @@ class CatalogStore:
 
     def register_user(self, profile: UserProfile) -> None:
         """Store a profile; re-registration with the same user_id replaces it."""
-        if not profile.user_id:
-            raise MalformedProfile("user_id must be non-empty")
+        if not isinstance(profile.user_id, str) or not profile.user_id:
+            raise MalformedProfile(f"user_id must be a non-empty string, got {profile.user_id!r}")
+        if not isinstance(profile.name, str):
+            raise MalformedProfile(f"name must be a string, got {profile.name!r}")
+        for name in ("address", "social_class"):
+            value = getattr(profile, name)
+            if value is not None and not isinstance(value, str):
+                raise MalformedProfile(f"{name} must be a string or absent, got {value!r}")
         with self._lock:
             self._users[profile.user_id] = profile
             self._snapshot = None
@@ -506,6 +512,8 @@ class CatalogStore:
             # A record key is canonical code text, so ``code`` needs no parse.
             event_id, code = data["event_id"], data["document_code"]
             context, user_id, use_type = data["context"], data["user_id"], data["use_type"]
+            if type(event_id) is not int:  # a bool is an int, but not an event id
+                raise ValueError(f"event id must be an integer, got {event_id!r}")
             if event_id < self._next_event_id:
                 raise ValueError(f"event id {event_id} is not above {self._next_event_id - 1}")
             self._check_event(code, context, user_id, use_type)

@@ -194,6 +194,47 @@ def test_schema_fields_match_the_descriptor_dataclasses():
             assert specs[name].required is not has_default, f"{medium}.{name}"
 
 
+# The generic schema as it was declared by hand, field by field: (kind, required, vocabulary).
+HAND_DECLARED_SCHEMA = {
+    "text.author": ("label", False, None),
+    "text.title": ("label", True, None),
+    "text.summary": ("label", False, None),
+    "text.reference_date": ("date", False, None),
+    "text.descriptors": ("labels", False, None),
+    "text.related_documents": ("codes", False, None),
+    "image.dominant_colour": ("label", True, "colour"),
+    "image.secondary_colour": ("label", False, "colour"),
+    "image.dominant_shape": ("label", True, "shape"),
+    "image.secondary_shape": ("label", False, "shape"),
+    "image.shape_specificity": ("label", False, "shape-specificity"),
+    "image.dominant_object": ("label", False, "object"),
+    "image.object_specificity": ("label", False, "object-specificity"),
+    "image.secondary_object": ("label", False, "object"),
+    "image.dominant_feature": ("label", False, "feature"),
+    "image.secondary_feature": ("label", False, "feature"),
+    "image.dominant_feature_subclass": ("label", False, "feature-subclass"),
+    "image.secondary_feature_subclass": ("label", False, "feature-subclass"),
+    "image.image_format": ("label", True, None),
+    "image.image_medium": ("label", True, "medium"),
+    "image.image_type": ("label", True, "image-type"),
+    "sound.originator": ("label", True, None),
+    "sound.target": ("label", False, "target"),
+    "sound.descriptors": ("labels", False, None),
+    "sound.publication_date": ("date", False, None),
+    "sound.sound_type": ("label", True, "sound-type"),
+    "sound.sound_class": ("label", False, "sound-class"),
+    "sound.sound_subclass": ("label", False, "sound-subclass"),
+}
+
+
+def test_schema_derived_from_the_dataclasses_equals_the_hand_declared_table():
+    derived = {path: (spec.kind.name, spec.required, spec.vocabulary)
+               for path, spec in SCHEMA_FIELDS.items()}
+    assert derived == HAND_DECLARED_SCHEMA
+    for path, spec in SCHEMA_FIELDS.items():
+        assert (spec.medium, spec.attribute) == tuple(path.split(".")), path
+
+
 def test_descriptor_dict_round_trip():
     descriptor = TextDescriptor(
         title="T", author="A", summary="S",

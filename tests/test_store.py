@@ -123,6 +123,21 @@ def test_register_user_empty_id_rejected():
         CatalogStore().register_user(UserProfile(user_id="", name="x"))
 
 
+@pytest.mark.parametrize("profile", [
+    UserProfile(user_id=5, name="B"),
+    UserProfile(user_id="u9", name=7),
+    UserProfile(user_id="u9", name="B", address=5),
+    UserProfile(user_id="u9", name="B", social_class=["x"]),
+])
+def test_register_user_refuses_a_field_of_the_wrong_type(tmp_path, profile):
+    store = make_five_event_store()
+    with pytest.raises(MalformedProfile):
+        store.register_user(profile)
+    path = tmp_path / "catalog.jsonl"
+    store.save(path)  # nothing was admitted, so the catalog still saves and loads back
+    assert CatalogStore.load(path).snapshot() == store.snapshot()
+
+
 # -- usage events and contexts ----------------------------------------------------
 
 
@@ -255,6 +270,25 @@ def test_save_load_preserves_sources(tmp_path):
     assert CatalogStore.load(path).sources.get("lib") == descriptor
 
 
+@pytest.mark.parametrize("name, value, reason", [
+    ("enabled", "false", "source enabled must be a bool, got 'false'"),
+    ("location", 5, "source location must be a string, got 5"),
+])
+def test_load_refuses_a_source_line_the_registry_would_refuse(tmp_path, name, value, reason):
+    store = CatalogStore()
+    store.sources.register(write_tabular_source(tmp_path / "books.tsv", count=3))
+    path = tmp_path / "catalog.jsonl"
+    store.save(path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    source = json.loads(lines[0])
+    source[name] = value
+    path.write_text(json.dumps(source) + "\n" + "".join(lines[1:]), encoding="utf-8")
+    with pytest.raises(CorruptCatalog) as err:
+        CatalogStore.load(path)
+    assert err.value.line_number == 1
+    assert reason in str(err.value)
+
+
 def test_catalog_file_section_ordering(tmp_path):
     import json
 
@@ -356,6 +390,14 @@ LOAD_REJECTIONS = {
                                     "'seminar' must be dynamic, got origin 'static'"),
     "context-label-not-a-string": (_set(5, "label", 5), 5,
                                    "context label must be a non-empty string"),
+    "user-id-not-a-string": (_set(4, "user_id", 5), 4,
+                             "user_id must be a non-empty string, got 5"),
+    "user-name-not-a-string": (_set(4, "name", 7), 4, "name must be a string, got 7"),
+    "user-address-not-a-string": (_set(4, "address", 5), 4,
+                                  "address must be a string or absent, got 5"),
+    "user-social-class-a-list": (_set(3, "social_class", ["x"]), 3,
+                                 "social_class must be a string or absent, got ['x']"),
+    "event-id-a-bool": (_set(9, "event_id", True), 9, "event id must be an integer, got True"),
 }
 
 
