@@ -34,22 +34,7 @@ class DocumentCode:
     uri: str | None = None
 
     def __post_init__(self):
-        if self.uri is not None:
-            if self.source_id is not None or self.local_id is not None:
-                raise MalformedCode("a code is either compound or a URI, not both")
-            if not self.uri.startswith(URI_SCHEMES):
-                raise MalformedCode(f"URI must use one of {', '.join(URI_SCHEMES)}: {self.uri!r}")
-            return
-        if self.source_id is None or self.local_id is None:
-            raise MalformedCode("compound code needs both source_id and local_id")
-        if not SOURCE_ID_PATTERN.match(self.source_id):
-            raise MalformedCode(f"bad source_id {self.source_id!r} (expected [a-z0-9_-]{{1,32}})")
-        if not self.local_id:
-            raise MalformedCode("local_id must be non-empty")
-        # A compound such as ("https", "//x") would serialize identically to
-        # a URI and could not round-trip; reject it outright.
-        if self.source_id in ("http", "https", "file") and self.local_id.startswith("//"):
-            raise MalformedCode("compound code would be indistinguishable from a URI")
+        _check_parts(self.source_id, self.local_id, self.uri)
 
     @property
     def is_uri(self) -> bool:
@@ -65,6 +50,26 @@ class DocumentCode:
 
     def __str__(self) -> str:
         return format_document_code(self)
+
+
+def _check_parts(source_id: str | None, local_id: str | None, uri: str | None) -> None:
+    """Raise :class:`MalformedCode` unless the parts make one code of one form."""
+    if uri is not None:
+        if source_id is not None or local_id is not None:
+            raise MalformedCode("a code is either compound or a URI, not both")
+        if not uri.startswith(URI_SCHEMES):
+            raise MalformedCode(f"URI must use one of {', '.join(URI_SCHEMES)}: {uri!r}")
+        return
+    if source_id is None or local_id is None:
+        raise MalformedCode("compound code needs both source_id and local_id")
+    if not SOURCE_ID_PATTERN.match(source_id):
+        raise MalformedCode(f"bad source_id {source_id!r} (expected [a-z0-9_-]{{1,32}})")
+    if not local_id:
+        raise MalformedCode("local_id must be non-empty")
+    # A compound such as ("https", "//x") would serialize identically to
+    # a URI and could not round-trip; reject it outright.
+    if source_id in ("http", "https", "file") and local_id.startswith("//"):
+        raise MalformedCode("compound code would be indistinguishable from a URI")
 
 
 def _escape_local(local_id: str) -> str:
@@ -97,13 +102,24 @@ def parse_document_code(text: str) -> DocumentCode:
     Raises :class:`MalformedCode` for empty or non-string input, a bad
     source identifier, or text that has neither a separator nor a URI scheme.
     """
+    source_id, local_id, uri = _split(text)
+    return DocumentCode(source_id=source_id, local_id=local_id, uri=uri)
+
+
+def check_document_code(text: object) -> None:
+    """Raise :class:`MalformedCode` where :func:`parse_document_code` would, building nothing."""
+    _check_parts(*_split(text))
+
+
+def _split(text: object) -> tuple[str | None, str | None, str | None]:
+    """The source_id, local_id and URI that ``text`` spells, unchecked."""
     if not isinstance(text, str):
         raise MalformedCode(f"document code must be a string, got {text!r}")
     if not text:
         raise MalformedCode("empty document code")
     if text.startswith(URI_SCHEMES):
-        return DocumentCode(uri=text)
+        return None, None, text
     head, sep, tail = text.partition(":")
     if not sep:
         raise MalformedCode(f"not a compound code or URI: {text!r}")
-    return DocumentCode(source_id=head, local_id=_LOCAL_SPECIAL.sub(_unescape, tail))
+    return head, _LOCAL_SPECIAL.sub(_unescape, tail), None

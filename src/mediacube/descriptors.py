@@ -23,7 +23,7 @@ from itertools import repeat
 from types import UnionType
 from typing import Callable, Iterable, Mapping, get_type_hints
 
-from .codes import DocumentCode, format_document_code, parse_document_code
+from .codes import DocumentCode, MalformedCode, check_document_code, parse_document_code
 from .errors import MediaCubeError
 from .taxonomy import MediaClass, MediaPresence, classify, decompose
 
@@ -176,22 +176,17 @@ class FieldKind:
     name: str
     type: type
     item_type: type | None
+    json_type: type  # str, or a list of str
     encode: Callable[[object], object] | None  # None where the JSON value is the value
     decode: Callable[[object], object] | None
 
 
-def _from(json_type: type, convert: Callable) -> Callable[[object], object]:
-    return lambda raw: convert(raw) if isinstance(raw, json_type) else raw
-
-
-#: The value kinds a generic field can hold. Decoding turns JSON lists into
-#: tuples, ISO text into dates and code text into codes, and passes anything
-#: else through unchanged for :func:`validate_record` to refuse.
-LABEL = FieldKind("label", str, None, None, None)
-DATE = FieldKind("date", date, None, date.isoformat, _from(str, date.fromisoformat))
-LABELS = FieldKind("labels", tuple, str, list, _from(list, tuple))
-CODES = FieldKind("codes", tuple, DocumentCode, lambda value: list(map(str, value)),
-                  _from(list, lambda raw: tuple(map(parse_document_code, raw))))
+#: The value kinds a generic field can hold.
+LABEL = FieldKind("label", str, None, str, None, None)
+DATE = FieldKind("date", date, None, str, date.isoformat, date.fromisoformat)
+LABELS = FieldKind("labels", tuple, str, list, list, tuple)
+CODES = FieldKind("codes", tuple, DocumentCode, list, lambda value: list(map(str, value)),
+                  lambda raw: tuple(map(parse_document_code, raw)))
 
 
 #: The kind of each field annotation that is not ``X | None``.
@@ -231,6 +226,7 @@ def _schema_of(medium: str) -> dict[str, FieldSpec]:
 MEDIUM_FIELDS: dict[str, dict[str, FieldSpec]] = {m: _schema_of(m) for m in MEDIA}
 SCHEMA_FIELDS: dict[str, FieldSpec] = {
     f.path: f for fields in MEDIUM_FIELDS.values() for f in fields.values()}
+_REQUIRED = {m: [name for name, f in fs.items() if f.required] for m, fs in MEDIUM_FIELDS.items()}
 #: Per medium, the kind of each field whose JSON value is not the value itself.
 _CONVERTED = {m: {name: f.kind for name, f in fields.items() if f.kind is not LABEL}
               for m, fields in MEDIUM_FIELDS.items()}
@@ -271,13 +267,26 @@ class ValidationReport:
 
 
 _CLEAN = ValidationReport()  # shared by every record without a problem
+Vocabularies = Mapping[str, ControlledVocabulary] | Iterable[ControlledVocabulary] | None
 
 
-def validate_record(
-    record: GenericRecord,
-    vocabularies: Mapping[str, ControlledVocabulary] | Iterable[ControlledVocabulary] | None = None,
-    known_codes: Iterable[str] | None = None,
-) -> ValidationReport:
+def _is_kind(kind: FieldKind, value: object) -> bool:
+    """Whether ``value`` is exactly of ``kind``: a datetime is not a date."""
+    return type(value) is kind.type and (
+        kind.item_type is None or all(map(isinstance, value, repeat(kind.item_type))))
+
+
+def _is_json_kind(kind: FieldKind, value: object) -> bool:
+    """Whether ``value`` is a ``json_type`` that decodes to a value of ``kind``."""
+    try:
+        return type(value) is kind.json_type and _is_kind(
+            kind, value if kind.decode is None else kind.decode(value))
+    except (ValueError, MalformedCode):
+        return False
+
+
+def validate_record(record: GenericRecord, vocabularies: Vocabularies = None,
+                    known_codes: Iterable[str] | None = None) -> ValidationReport:
     """Check a record against the schema and the given vocabularies.
 
     All problems are reported, never thrown. Closed-vocabulary misses, values
@@ -285,77 +294,95 @@ def validate_record(
     misses and dangling related-document references (when ``known_codes`` is
     supplied) are warnings.
     """
+    descriptors = {m: vars(d) for m in MEDIA if (d := getattr(record, m)) is not None}
+    return _check(record.media_class, descriptors, _is_kind, vocabularies, known_codes, [])
+
+
+def check_record_dict(data: Mapping[str, object], vocabularies: Vocabularies = None,
+                      known_codes: Iterable[str] | None = None) -> ValidationReport:
+    """Check a record in its JSON form, as :func:`record_to_dict` writes it.
+
+    The rules are those of :func:`validate_record`, with each value in the JSON
+    form of its kind; on top, the code must parse, the class token be known and
+    each descriptor be an object. Other top-level keys are not read.
+    """
+    violations: list[Problem] = []
+    try:
+        check_document_code(data.get("document_code"))
+    except MalformedCode as exc:
+        violations.append(Problem("document_code", "code", str(exc)))
+    try:
+        media_class = MediaClass.from_token(data.get("media_class"))
+    except (ValueError, TypeError) as exc:  # TypeError: a token that is not hashable
+        violations.append(Problem("media_class", "media-class", str(exc)))
+        media_class = None
+    return _check(media_class, data, _is_json_kind, vocabularies, known_codes, violations)
+
+
+def _check(media_class: MediaClass | None, descriptors: Mapping[str, object],
+           is_kind: Callable[[FieldKind, object], bool], vocabularies: Vocabularies,
+           known_codes: Iterable[str] | None, violations: list[Problem]) -> ValidationReport:
+    """The schema rules over the field values, as objects or JSON, of each medium in
+    ``descriptors``; other keys are not read."""
     if vocabularies is None:
         vocabs = BUILTIN_VOCABULARIES
     elif isinstance(vocabularies, Mapping):
         vocabs = dict(vocabularies)
     else:
         vocabs = {v.name: v for v in vocabularies}
-
-    violations: list[Problem] = []
     warnings: list[Problem] = []
 
-    expected = decompose(record.media_class)
+    expected = None if media_class is None else decompose(media_class)
     known = None if known_codes is None else set(known_codes)
     for medium in MEDIA:
-        descriptor = getattr(record, medium)
-        has = descriptor is not None
-        if has != getattr(expected, medium):
+        has = medium in descriptors
+        if expected is not None and has != getattr(expected, medium):
             detail = "attached but not implied by class" if has else "implied by class but missing"
-            violations.append(Problem(
-                field=medium,
-                rule="descriptor/class-mismatch",
-                message=f"{medium} descriptor {detail} {record.media_class.token}",
-            ))
+            violations.append(Problem(medium, "descriptor/class-mismatch",
+                                      f"{medium} descriptor {detail} {media_class.token}"))
         if not has:
             continue
+        values = descriptors[medium]
+        if type(values) is not dict:
+            violations.append(Problem(medium, "descriptor", f"{medium} descriptor must be an "
+                                      f"object, got a {type(values).__name__!r} object"))
+            continue
         fields = MEDIUM_FIELDS[medium]
-        for name, value in vars(descriptor).items():
-            spec = fields[name]
-            if not value and value in (None, "", ()):  # ``not value`` first: it is cheap
-                if spec.required:
-                    path = spec.path
-                    violations.append(Problem(path, "required-field", f"{path} is required"))
+        for name in _REQUIRED[medium]:
+            if not (value := values.get(name)) and value in (None, "", ()):  # ``not``: cheap
+                path = fields[name].path
+                violations.append(Problem(path, "required-field", f"{path} is required"))
+        for name, value in values.items():
+            if value is None:
                 continue
-            kind = spec.kind  # the type must match exactly: a datetime is not a date
-            if type(value) is not kind.type or kind.item_type and not all(
-                    map(isinstance, value, repeat(kind.item_type))):
+            if (spec := fields.get(name)) is None:
+                violations.append(Problem(f"{medium}.{name}", "unknown-field",
+                                          f"unknown {medium} descriptor field: {name}"))
+            elif (kind := spec.kind) is LABEL and type(value) is str:
+                if value and spec.vocabulary and (vocab := vocabs.get(spec.vocabulary)) and (
+                        value not in vocab.members):
+                    (warnings if vocab.open else violations).append(Problem(
+                        spec.path, "open-vocabulary" if vocab.open else "vocabulary",
+                        f"{spec.path} value {value!r} not in {vocab.name} vocabulary"))
+            elif not is_kind(kind, value):
                 violations.append(Problem(
                     spec.path, kind.name, f"{spec.path} expects {kind.name}, got {value!r}"))
             elif kind is CODES and known is not None:
-                for ref in value:
-                    if format_document_code(ref) not in known:
-                        warnings.append(Problem(
-                            spec.path, "dangling-reference",
-                            f"{spec.path} references unknown document {ref}",
-                        ))
-            elif (vocab := vocabs.get(spec.vocabulary)) is not None and value not in vocab.members:
-                problem = Problem(
-                    spec.path,
-                    "open-vocabulary" if vocab.open else "vocabulary",
-                    f"{spec.path} value {value!r} not in {vocab.name} vocabulary",
-                )
-                (warnings if vocab.open else violations).append(problem)
+                warnings.extend(Problem(spec.path, "dangling-reference",
+                                        f"{spec.path} references unknown document {ref}")
+                                for ref in map(str, value) if ref not in known)
 
-    image = record.image
-    if image is not None:
-        for rank, feature, subclass in (
-                ("dominant", image.dominant_feature, image.dominant_feature_subclass),
-                ("secondary", image.secondary_feature, image.secondary_feature_subclass)):
-            if type(subclass) is not str:  # absent, or refused above as not a label
-                continue
-            if feature is None:
-                violations.append(Problem(
-                    f"image.{rank}_feature_subclass",
-                    "subclass-without-feature",
-                    f"{rank} feature sub-class given without a {rank} feature",
-                ))
-            if "-" not in subclass and "." not in subclass:
-                violations.append(Problem(
-                    f"image.{rank}_feature_subclass",
-                    "subclass-form",
-                    f"sub-class labels use the parent-child form, got {subclass!r}",
-                ))
+    image = descriptors.get("image")
+    for rank in ("dominant", "secondary") if type(image) is dict else ():
+        if type(label := image.get(f"{rank}_feature_subclass")) is not str:  # absent, or refused
+            continue
+        path = f"image.{rank}_feature_subclass"
+        if image.get(f"{rank}_feature") is None:
+            violations.append(Problem(path, "subclass-without-feature",
+                                      f"{rank} feature sub-class given without a {rank} feature"))
+        if "-" not in label and "." not in label:
+            violations.append(Problem(path, "subclass-form", f"sub-class labels use the "
+                                      f"parent-child form, got {label!r}"))
 
     if not violations and not warnings:
         return _CLEAN
@@ -394,11 +421,8 @@ def descriptor_to_dict(descriptor: Descriptor) -> dict:
 
 
 def descriptor_from_dict(medium: str, data: Mapping[str, object]) -> Descriptor:
-    """Decode each field by its kind; :func:`validate_record` checks the values."""
-    if not data.keys() <= MEDIUM_FIELDS[medium].keys():
-        unknown = ", ".join(sorted(data.keys() - MEDIUM_FIELDS[medium].keys()))
-        raise ValueError(f"unknown {medium} descriptor field: {unknown}")
-    values = dict(data)
+    """Decode each field by its kind, as :func:`check_record_dict` accepts it; null is absent."""
+    values = {name: value for name, value in data.items() if value is not None}
     for name, kind in _CONVERTED[medium].items():
         if name in values:
             values[name] = kind.decode(values[name])

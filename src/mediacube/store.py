@@ -8,9 +8,11 @@ with a ``kind`` discriminator, keys in lexicographic order, sections ordered
 sources, records, users, contexts, events. Saving the same snapshot twice
 yields byte-identical files.
 
-The event log is held as columns, not as :class:`UsageEvent` objects: event
-ids and UTC epoch seconds in ``array('q')``, and the code text, context,
-user and use type each dictionary-encoded in an ``array('i')``.
+Each record is held as its canonical catalog line, the text ``save`` writes,
+and decoded into a :class:`GenericRecord` only when it is read. The event log
+is held as columns, not as :class:`UsageEvent` objects: event ids and UTC
+epoch seconds in ``array('q')``, and the code text, context, user and use
+type each dictionary-encoded in an ``array('i')``.
 """
 
 from __future__ import annotations
@@ -21,14 +23,15 @@ import threading
 from array import array
 from contextlib import suppress
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .codes import DocumentCode, parse_document_code
-from .descriptors import GenericRecord, record_from_dict, record_to_dict, validate_record
+from .descriptors import (DATE, MEDIA, MEDIUM_FIELDS, GenericRecord, ValidationReport,
+                          check_record_dict, record_from_dict, record_to_dict, validate_record)
 from .errors import BadRequest, MediaCubeError
 from .federation import SourceRegistry, source_from_dict, source_to_dict
 
@@ -162,17 +165,44 @@ class ContextEntry:
     first_seen: datetime
 
 
+class _Records(Mapping):
+    """Code text to record: ``lines`` holds each record's catalog line, and ``decoded``
+    the records decoded so far. Equality compares the lines. Readers that race to
+    decode one record all get the one ``setdefault`` keeps."""
+
+    def __init__(self, lines: dict[str, str], decoded: dict[str, GenericRecord]):
+        self.lines, self.decoded = lines, decoded
+
+    def __getitem__(self, code: str) -> GenericRecord:
+        if (record := self.decoded.get(code)) is None:
+            record = self.decoded.setdefault(code, record_from_dict(json.loads(self.lines[code])))
+        return record
+
+    def __contains__(self, code: object) -> bool:
+        return code in self.lines
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.lines)
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Records) and self.lines == other.lines
+
+
 @dataclass(frozen=True, kw_only=True)
 class CatalogSnapshot:
     """An immutable, internally consistent view handed to analytics.
 
-    The events come as columns, all in event order: the event id, the UTC
-    epoch seconds, the canonical document-code text, the context, the user
+    ``record_by_code`` decodes a record on first read, and ``records`` all of
+    them. The events come as columns, all in event order: the event id, the
+    UTC epoch seconds, the canonical document-code text, the context, the user
     and the use type. Analytics groups over these columns; ``event_days`` and
     ``events`` are built from them on first read.
     """
 
-    records: tuple[GenericRecord, ...]
+    record_by_code: Mapping[str, GenericRecord]
     users: tuple[UserProfile, ...]
     contexts: tuple[ContextEntry, ...]
     event_ids: array
@@ -183,16 +213,18 @@ class CatalogSnapshot:
     event_use_types: tuple[str, ...]
 
     # Derived from the value fields; excluded from equality.
-    record_by_code: Mapping[str, GenericRecord] = field(init=False, compare=False, repr=False)
     user_by_id: Mapping[str, UserProfile] = field(init=False, compare=False, repr=False)
     context_labels: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "record_by_code",
-                           {str(r.document_code): r for r in self.records})
         object.__setattr__(self, "user_by_id", {u.user_id: u for u in self.users})
         object.__setattr__(self, "context_labels",
                            frozenset(c.label for c in self.contexts))
+
+    @cached_property
+    def records(self) -> tuple[GenericRecord, ...]:
+        """Every record, in code order."""
+        return tuple(map(self.record_by_code.__getitem__, sorted(self.record_by_code)))
 
     @cached_property
     def event_days(self) -> tuple[str, ...]:
@@ -256,7 +288,7 @@ class CatalogStore:
 
     def __init__(self):
         self._lock = threading.RLock()
-        self._records: dict[str, GenericRecord] = {}
+        self._records = _Records({}, {})
         # The event log: one row per event across these append-only columns.
         self._event_ids = array("q")
         self._event_seconds = array("q")
@@ -278,18 +310,18 @@ class CatalogStore:
         Related-document references are not checked: a dangling one is accepted.
         """
         with self._lock:
-            report = validate_record(record)
-            if not report.ok:
-                details = "; ".join(f"{p.field}: {p.message}" for p in report.violations)
-                raise RecordInvalid(f"{record.document_code}: {details}")
-            self._records[str(record.document_code)] = record
+            _refuse_invalid(record.document_code, validate_record(record))
+            code = str(record.document_code)
+            self._records.lines[code] = _dump_line({"kind": "record", **record_to_dict(record)})
+            self._records.decoded[code] = record
             self._snapshot = None
 
     def get_record(self, code: DocumentCode | str) -> GenericRecord:
-        try:
-            return self._records[str(code)]
-        except KeyError:
-            raise RecordNotFound(f"no record for {code}") from None
+        with self._lock:
+            try:
+                return self._records[str(code)]
+            except KeyError:
+                raise RecordNotFound(f"no record for {code}") from None
 
     # -- users ---------------------------------------------------------------
 
@@ -336,7 +368,7 @@ class CatalogStore:
         """
         with self._lock:
             row = self._event_row(event)
-            _write_catalog(path, self._serialized_objects(row))
+            _write_catalog(path, self._serialized_lines(row))
             self._append(*row)
             return row[0]
 
@@ -353,7 +385,7 @@ class CatalogStore:
             raise MalformedEvent(f"use_type must be one of {USE_TYPES}, got {use_type!r}")
         if not isinstance(context, str) or not context:
             raise MalformedEvent(f"context label must be a non-empty string, got {context!r}")
-        if code not in self._records:
+        if code not in self._records.lines:
             raise UnknownDocument(f"no record for {code}")
         if user_id not in self._users:
             raise UnknownUser(f"user {user_id!r} is not registered")
@@ -384,7 +416,7 @@ class CatalogStore:
         with self._lock:
             if self._snapshot is None:
                 self._snapshot = CatalogSnapshot(
-                    records=tuple(self._records[k] for k in sorted(self._records)),
+                    record_by_code=_Records(dict(self._records.lines), dict(self._records.decoded)),
                     users=tuple(self._users[k] for k in sorted(self._users)),
                     contexts=tuple(self.list_contexts()),
                     event_ids=array("q", self._event_ids),
@@ -401,14 +433,17 @@ class CatalogStore:
     def save(self, path: str | Path) -> None:
         """Write the canonical JSON Lines form; byte-deterministic."""
         with self._lock:
-            _write_catalog(path, self._serialized_objects())
+            _write_catalog(path, self._serialized_lines())
 
-    def _serialized_objects(self, row: tuple | None = None) -> Iterable[dict]:
+    def _serialized_lines(self, row: tuple | None = None) -> Iterator[str]:
         """The catalog's lines, with an unapplied event ``row`` as if appended; the lock held."""
         for descriptor in self.sources.list():
-            yield {"kind": "source", **source_to_dict(descriptor)}
-        for code in sorted(self._records):
-            yield {"kind": "record", **record_to_dict(self._records[code])}
+            yield _dump_line({"kind": "source", **source_to_dict(descriptor)})
+        yield from map(self._records.lines.__getitem__, sorted(self._records.lines))
+        yield from map(_dump_line, self._serialized_objects(row))
+
+    def _serialized_objects(self, row: tuple | None = None) -> Iterable[dict]:
+        """The user, context and event lines as objects, ``row`` as in :meth:`_serialized_lines`."""
         for user_id in sorted(self._users):
             profile = self._users[user_id]
             obj = {"kind": "user", "user_id": profile.user_id, "name": profile.name}
@@ -446,11 +481,12 @@ class CatalogStore:
     def load(cls, path: str | Path) -> "CatalogStore":
         """Reconstruct a store from its canonical serialization.
 
-        The file is read one line at a time. Records pass :meth:`put_record`,
-        users :meth:`register_user` and events the check of :meth:`record_usage`;
-        on top, event ids must increase, each event's context must have its
-        registry line, and a context line must be one a write can create. A line
-        that is not UTF-8, not a JSON object, or refused raises
+        The file is read one line at a time. Records pass the check of :meth:`put_record`
+        in JSON form and are kept as lines, re-encoded unless canonical; users pass
+        :meth:`register_user` and events the check of :meth:`record_usage`. On top, a
+        line holds only its kind's keys, event ids must increase, each event's context
+        must have its registry line, and a context line must be one a write can create.
+        A line that is not UTF-8, not a JSON object, or refused raises
         :class:`CorruptCatalog` naming the line.
         """
         try:
@@ -464,7 +500,8 @@ class CatalogStore:
                 if raw == b"\n":
                     continue
                 try:
-                    data = json.loads(raw.decode("utf-8"))
+                    text = raw.decode("utf-8")
+                    data = json.loads(text)
                 except UnicodeDecodeError as exc:
                     raise CorruptCatalog(line_number, f"not UTF-8: {exc.reason} "
                                                       f"at byte {exc.start}") from None
@@ -473,18 +510,30 @@ class CatalogStore:
                 if not isinstance(data, dict):
                     raise CorruptCatalog(line_number, f"not a JSON object: {data!r:.40}")
                 try:
-                    store._apply_loaded(data, declared)
+                    store._apply_loaded(text, data, declared)
                 except (MediaCubeError, AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise CorruptCatalog(line_number, str(exc)) from exc
         return store
 
-    def _apply_loaded(self, data: dict, declared: set[str]) -> None:
-        """Admit one decoded line; ``declared`` holds the labels of earlier context lines."""
+    def _apply_loaded(self, text: str, data: dict, declared: set[str]) -> None:
+        """Admit ``text``, one line, as ``data``; ``declared`` holds earlier context labels."""
         kind = data.get("kind")
+        keys = _LINE_KEYS.get(kind)
+        if keys is None:
+            raise ValueError(f"unknown object kind {kind!r}")
+        # Every key of an event line is read below, so counting them is the same test.
+        if len(data) > len(keys) or kind != "event" and not data.keys() <= keys:
+            raise ValueError(f"unknown {kind} key: {', '.join(sorted(data.keys() - keys))}")
         if kind == "source":
             self.sources.register(source_from_dict(data))
         elif kind == "record":
-            self.put_record(record_from_dict(data))
+            _refuse_invalid(data.get("document_code"), check_record_dict(data))
+            size = _canonical_length(data)
+            if size is None:  # not the form ``record_to_dict`` gives: re-encode the record
+                text = _dump_line({"kind": "record", **record_to_dict(record_from_dict(data))})
+            elif len(text) != size + 1:  # other separators, a repeated key or an escape
+                text = _dump_line(data)
+            self._records.lines[data["document_code"]] = text
         elif kind == "user":
             self.register_user(UserProfile(
                 user_id=data["user_id"],
@@ -521,8 +570,21 @@ class CatalogStore:
                 raise ValueError(f"event {event_id} context {context!r} has no registry line")
             seconds = (parse_timestamp(data["timestamp"]) - _EPOCH) // _SECOND
             self._append(event_id, seconds, code, context, user_id, use_type)
-        else:
-            raise ValueError(f"unknown object kind {kind!r}")
+
+
+#: The keys each kind of catalog line may hold.
+_LINE_KEYS = {"source": {"kind", "source_id", "adapter", "location", "enabled", "mapping"},
+              "record": {"kind", "document_code", "media_class", *MEDIA},
+              "user": {"kind", "user_id", "name", "address", "social_class"},
+              "context": {"kind", "label", "origin", "first_seen"},
+              "event": {"kind", "event_id", "document_code", "context", "user_id",
+                        "timestamp", "use_type"}}
+
+
+def _refuse_invalid(code: object, report: ValidationReport) -> None:
+    if not report.ok:
+        details = "; ".join(f"{p.field}: {p.message}" for p in report.violations)
+        raise RecordInvalid(f"{code}: {details}")
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
@@ -532,12 +594,43 @@ def _dump_line(obj: dict) -> str:
     return _ENCODER.encode(obj) + "\n"
 
 
-def _write_catalog(path: str | Path, objects: Iterable[dict]) -> None:
+_DATES = {m: [name for name, f in fs.items() if f.kind is DATE] for m, fs in MEDIUM_FIELDS.items()}
+
+
+def _canonical_length(data: dict) -> int | None:
+    """The length of a checked record line's object as ``_ENCODER`` writes it, newline
+    excluded, if no string needs an escape; None if that is not the line ``save`` writes
+    for its record: unsorted keys, a null or ``[]`` field, or a date that does not read
+    back as written."""
+    if list(data) != sorted(data):
+        return None
+    size = 1  # "{" and "}", less the comma the first entry does not need
+    for key, value in data.items():
+        if type(value) is str:
+            size += len(key) + len(value) + 6
+            continue
+        if list(value) != sorted(value):
+            return None
+        size += len(key) + 5 + sum(map(len, value)) + 6 * len(value)  # "key":"" for each
+        for item in value.values():
+            if type(item) is str:
+                size += len(item)
+            elif item:  # a list: [], then "item" and a comma for each, less one comma
+                size += sum(map(len, item)) + 3 * len(item) - 1
+            else:  # null or []
+                return None
+        for name in _DATES[key]:
+            if name in value and date.fromisoformat(value[name]).isoformat() != value[name]:
+                return None
+    return size
+
+
+def _write_catalog(path: str | Path, lines: Iterable[str]) -> None:
     """Replace ``path`` through a temporary file and a rename; a failure leaves it as it was."""
     path = Path(path)
     temp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
-        temp.write_text("".join(map(_dump_line, objects)), encoding="utf-8")
+        temp.write_text("".join(lines), encoding="utf-8")
         os.replace(temp, path)
     except OSError as exc:
         with suppress(OSError):

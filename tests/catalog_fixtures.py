@@ -232,3 +232,14 @@ def make_five_event_store() -> CatalogStore:
             use_type=use_type,
         ))
     return store
+
+
+def count_record_builds(monkeypatch) -> list[str]:
+    """The code of each GenericRecord built from here on, in order."""
+    built, init = [], GenericRecord.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(str(kwargs["document_code"]))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(GenericRecord, "__init__", counting)
+    return built

@@ -11,6 +11,7 @@ import pytest
 
 import mediacube
 from catalog_fixtures import write_tabular_source
+from catalog_fixtures import count_record_builds
 from mediacube.cli import main
 from mediacube.federation import mapping_to_dict
 from mediacube.store import CatalogStore
@@ -291,3 +292,32 @@ def test_usage_log_over_the_file_size_limit_leaves_the_catalog_whole(five_event_
     assert child.stderr.startswith("StorageIO: cannot write")
     assert five_event_catalog.read_bytes() == before
     assert list(five_event_catalog.parent.iterdir()) == [five_event_catalog]
+
+
+@pytest.mark.parametrize("argv, decoded", [
+    (["cube"], []),
+    (["cube", "--fix", "doc=fx:d1"], []),
+    (["report", "importance"], []),
+    (["report", "social-class"], []),
+    (["contexts"], []),
+    (["usage-log", "--doc", "fx:d2", "--context", "seminar", "--user", "u2",
+      "--type", "occasional"], []),
+    (["record-get", "fx:d1"], ["fx:d1"]),
+])
+def test_commands_decode_only_the_records_they_print(five_event_catalog, capsys, monkeypatch,
+                                                     argv, decoded):
+    built = count_record_builds(monkeypatch)
+    code, _, err = run("--catalog", str(five_event_catalog), *argv, capsys=capsys)
+    assert (code, err) == (0, "")
+    assert built == decoded
+
+
+def test_load_command_counts_the_records_without_decoding_them(five_event_catalog, tmp_path,
+                                                               capsys, monkeypatch):
+    built = count_record_builds(monkeypatch)
+    code, out, _ = run("--catalog", str(tmp_path / "copy.jsonl"), "load",
+                       "--from", str(five_event_catalog), capsys=capsys)
+    assert code == 0
+    assert out == "loaded 2 records, 5 events, 2 users, 4 contexts\n"
+    assert built == []
+    assert (tmp_path / "copy.jsonl").read_bytes() == five_event_catalog.read_bytes()

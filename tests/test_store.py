@@ -2,17 +2,21 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import threading
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from datetime import date
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from catalog_fixtures import make_five_event_store, write_tabular_source
+from catalog_fixtures import count_record_builds
 from mediacube.codes import DocumentCode, parse_document_code
 from mediacube.descriptors import GenericRecord, SoundDescriptor, TextDescriptor
+from mediacube.descriptors import ImageDescriptor
 from mediacube.store import (
     CatalogStore,
     CorruptCatalog,
@@ -273,6 +277,7 @@ def test_save_load_preserves_sources(tmp_path):
 @pytest.mark.parametrize("name, value, reason", [
     ("enabled", "false", "source enabled must be a bool, got 'false'"),
     ("location", 5, "source location must be a string, got 5"),
+    ("bogus", 1, "unknown source key: bogus"),
 ])
 def test_load_refuses_a_source_line_the_registry_would_refuse(tmp_path, name, value, reason):
     store = CatalogStore()
@@ -398,6 +403,16 @@ LOAD_REJECTIONS = {
     "user-social-class-a-list": (_set(3, "social_class", ["x"]), 3,
                                  "social_class must be a string or absent, got ['x']"),
     "event-id-a-bool": (_set(9, "event_id", True), 9, "event id must be an integer, got True"),
+    "record-unknown-key": (_set(1, "bogus", 1), 1, "unknown record key: bogus"),
+    "descriptor-unknown-field": (_set(2, "text", "bogus", "x"), 2,
+                                 "unknown text descriptor field: bogus"),
+    "record-unknown-class": (_set(1, "media_class", "video"), 1,
+                             "unknown media class token: 'video'"),
+    "record-code-not-text": (_set(2, "document_code", 7), 2,
+                             "document code must be a string, got 7"),
+    "user-unknown-key": (_set(3, "socail_class", "worker"), 3, "unknown user key: socail_class"),
+    "context-unknown-key": (_set(5, "bogus", 1), 5, "unknown context key: bogus"),
+    "event-unknown-key": (_set(9, "bogus", 1), 9, "unknown event key: bogus"),
 }
 
 
@@ -626,3 +641,166 @@ def test_a_save_over_a_directory_fails_and_leaves_no_temporary_file(tmp_path, mo
     with pytest.raises(StorageIO):
         make_five_event_store().save(name)
     assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
+
+
+# -- records held as their catalog lines ------------------------------------------
+
+
+def _varied_record_store() -> CatalogStore:
+    """The five-event store plus a record with a date, labels, a reference and an image."""
+    store = make_five_event_store()
+    store.put_record(GenericRecord(
+        document_code=DocumentCode.compound("fx", "d3"),
+        media_class=MediaClass.TEXT_IMAGE,
+        text=TextDescriptor(title="Café", reference_date=date(2024, 1, 1),
+                            descriptors=("k1", "k2"),
+                            related_documents=(DocumentCode.compound("fx", "d1"),)),
+        image=ImageDescriptor(dominant_colour="red", dominant_shape="oval", image_format="png",
+                              image_medium="paper", image_type="sketch"),
+    ))
+    return store
+
+
+def _compact(obj) -> str:
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+def _reversed_keys(obj):
+    if not isinstance(obj, dict):
+        return obj
+    return {k: _reversed_keys(v) for k, v in reversed(obj.items())}
+
+
+def _with_text(**absent):
+    """Adds each field the text descriptor lacks, as ``record_to_dict`` never writes it."""
+    return lambda obj: _compact({**obj, "text": {**absent, **obj["text"]}})
+
+
+def _with_date(text: str):
+    def rewrite(obj):
+        if "reference_date" in obj["text"]:
+            obj["text"]["reference_date"] = text
+        return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return rewrite
+
+
+# Each case rewrites every record line of a saved catalog into a form that ``load``
+# accepts and ``save`` never writes.
+NON_CANONICAL_RECORD_LINES = {
+    "default-separators": lambda obj: json.dumps(obj, sort_keys=True, ensure_ascii=False),
+    "unsorted-keys": lambda obj: _compact(_reversed_keys(obj)),
+    "unsorted-descriptor-keys": lambda obj: _compact(
+        {key: _reversed_keys(value) for key, value in obj.items()}),
+    "author-null": _with_text(author=None),
+    "descriptors-empty": _with_text(descriptors=[]),
+    "escaped-non-ascii": lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":")),
+    "basic-format-date": _with_date("20240101"),
+    "week-date": _with_date("2024-W01-1"),  # as long as its canonical text, 2024-01-01
+    "repeated-key": lambda obj: '{"document_code":"fx:zz",' + _compact(obj)[1:],
+    "crlf": lambda obj: _compact(obj) + "\r",
+    "leading-space": lambda obj: " " + _compact(obj),
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="date.fromisoformat is ISO-only from 3.11")
+@pytest.mark.parametrize("rewrite", NON_CANONICAL_RECORD_LINES.values(),
+                         ids=NON_CANONICAL_RECORD_LINES.keys())
+def test_save_after_load_writes_canonical_record_lines(tmp_path, rewrite):
+    store = _varied_record_store()
+    canonical, varied, resaved = (tmp_path / name for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
+    store.save(canonical)
+    lines = canonical.read_text(encoding="utf-8").splitlines()
+    varied.write_text("".join(
+        (rewrite(json.loads(line)) if '"kind":"record"' in line else line) + "\n"
+        for line in lines), encoding="utf-8")
+    assert varied.read_bytes() != canonical.read_bytes()
+    loaded = CatalogStore.load(varied)
+    loaded.save(resaved)
+    assert resaved.read_bytes() == canonical.read_bytes()
+    assert loaded.snapshot() == store.snapshot()
+
+
+def test_a_loaded_record_is_decoded_when_first_read_and_once(tmp_path, monkeypatch):
+    path = tmp_path / "catalog.jsonl"
+    _varied_record_store().save(path)
+    built = count_record_builds(monkeypatch)
+    store = CatalogStore.load(path)
+    snapshot = store.snapshot()
+    assert sorted(snapshot.record_by_code) == ["fx:d1", "fx:d2", "fx:d3"]
+    assert "fx:d3" in snapshot.record_by_code and "fx:zz" not in snapshot.record_by_code
+    assert built == []
+    record = store.get_record("fx:d3")
+    assert store.get_record("fx:d3") is record
+    assert record.text.reference_date == date(2024, 1, 1)
+    assert snapshot.record_by_code["fx:d1"] is snapshot.record_by_code["fx:d1"]
+    assert built == ["fx:d3", "fx:d1"]
+    assert [str(r.document_code) for r in snapshot.records] == ["fx:d1", "fx:d2", "fx:d3"]
+    assert len(built) == 4
+
+
+def test_a_record_put_is_read_back_as_the_same_object():
+    store = CatalogStore()
+    record = text_record()
+    store.put_record(record)
+    assert store.get_record("fx:d1") is record
+    assert store.snapshot().record_by_code["fx:d1"] is record
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+def test_a_snapshot_keeps_the_records_it_was_taken_with(tmp_path, read_first):
+    path = tmp_path / "catalog.jsonl"
+    _varied_record_store().save(path)
+    store = CatalogStore.load(path)
+    before = store.snapshot()
+    if read_first:
+        assert before.record_by_code["fx:d1"].text.title == "D1"
+    store.put_record(text_record("d1", title="replaced"))
+    assert before.record_by_code["fx:d1"].text.title == "D1"
+    assert before.records[0].text.title == "D1"
+    assert before == CatalogStore.load(path).snapshot()
+    after = store.snapshot()
+    assert after != before
+    assert after.record_by_code["fx:d1"].text.title == "replaced"
+
+
+def test_threads_decoding_the_same_records_all_get_the_same_objects(tmp_path):
+    path = tmp_path / "catalog.jsonl"
+    store = CatalogStore()
+    for i in range(200):
+        store.put_record(text_record(f"d{i}"))
+    store.save(path)
+    loaded = CatalogStore.load(path)
+    snapshot = loaded.snapshot()
+    codes = [f"fx:d{i}" for i in range(200)]
+    seen: list[list] = [[] for _ in range(8)]
+    barrier = threading.Barrier(len(seen))
+
+    def read(index):
+        barrier.wait(timeout=5)
+        read_one = snapshot.record_by_code.__getitem__ if index % 2 else loaded.get_record
+        seen[index].extend(map(read_one, codes))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(len(seen))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for index in range(2, len(seen)):
+        assert all(a is b for a, b in zip(seen[index], seen[index % 2], strict=True))
+    assert [str(r.document_code) for r in seen[1]] == codes
+
+
+def test_put_record_refuses_an_empty_string_in_a_date_field(tmp_path):
+    store = CatalogStore()
+    with pytest.raises(RecordInvalid, match="text.reference_date expects date, got ''"):
+        store.put_record(GenericRecord(
+            document_code=DocumentCode.compound("fx", "d1"), media_class=MediaClass.TEXT,
+            text=TextDescriptor(title="T", reference_date="")))
+    store.save(tmp_path / "catalog.jsonl")
+    assert CatalogStore.load(tmp_path / "catalog.jsonl").snapshot() == store.snapshot()
