@@ -165,13 +165,14 @@ class ContextEntry:
     first_seen: datetime
 
 
+@dataclass
 class _Records(Mapping):
     """Code text to record: ``lines`` holds each record's catalog line, and ``decoded``
     the records decoded so far. Equality compares the lines. Readers that race to
     decode one record all get the one ``setdefault`` keeps."""
 
-    def __init__(self, lines: dict[str, str], decoded: dict[str, GenericRecord]):
-        self.lines, self.decoded = lines, decoded
+    lines: dict[str, str]
+    decoded: dict[str, GenericRecord] = field(compare=False)
 
     def __getitem__(self, code: str) -> GenericRecord:
         if (record := self.decoded.get(code)) is None:
@@ -186,9 +187,6 @@ class _Records(Mapping):
 
     def __len__(self) -> int:
         return len(self.lines)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Records) and self.lines == other.lines
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -440,10 +438,6 @@ class CatalogStore:
         for descriptor in self.sources.list():
             yield _dump_line({"kind": "source", **source_to_dict(descriptor)})
         yield from map(self._records.lines.__getitem__, sorted(self._records.lines))
-        yield from map(_dump_line, self._serialized_objects(row))
-
-    def _serialized_objects(self, row: tuple | None = None) -> Iterable[dict]:
-        """The user, context and event lines as objects, ``row`` as in :meth:`_serialized_lines`."""
         for user_id in sorted(self._users):
             profile = self._users[user_id]
             obj = {"kind": "user", "user_id": profile.user_id, "name": profile.name}
@@ -451,23 +445,23 @@ class CatalogStore:
                 obj["address"] = profile.address
             if profile.social_class is not None:
                 obj["social_class"] = profile.social_class
-            yield obj
+            yield _dump_line(obj)
         contexts = list(self._contexts.values())
         if row is not None and row[3] not in self._contexts:  # as ``_append`` will register it
             contexts.append(ContextEntry(label=row[3], origin="dynamic",
                                          first_seen=_instant(row[1])))
         for entry in sorted(contexts, key=_context_order):
-            yield {
+            yield _dump_line({
                 "kind": "context",
                 "label": entry.label,
                 "origin": entry.origin,
                 "first_seen": format_timestamp(entry.first_seen),
-            }
+            })
         rows = chain(zip(self._event_ids, self._event_seconds, self._event_codes,
                          self._event_contexts, self._event_users, self._event_use_types),
                      [row] if row is not None else ())
         for event_id, seconds, code, context, user_id, use_type in rows:
-            yield {
+            yield _dump_line({
                 "kind": "event",
                 "event_id": event_id,
                 "document_code": code,
@@ -475,7 +469,7 @@ class CatalogStore:
                 "user_id": user_id,
                 "timestamp": format_timestamp(_instant(seconds)),
                 "use_type": use_type,
-            }
+            })
 
     @classmethod
     def load(cls, path: str | Path) -> "CatalogStore":
@@ -528,11 +522,8 @@ class CatalogStore:
             self.sources.register(source_from_dict(data))
         elif kind == "record":
             _refuse_invalid(data.get("document_code"), check_record_dict(data))
-            size = _canonical_length(data)
-            if size is None:  # not the form ``record_to_dict`` gives: re-encode the record
+            if not _is_canonical(text, data):  # re-encode the record, as ``put_record`` would
                 text = _dump_line({"kind": "record", **record_to_dict(record_from_dict(data))})
-            elif len(text) != size + 1:  # other separators, a repeated key or an escape
-                text = _dump_line(data)
             self._records.lines[data["document_code"]] = text
         elif kind == "user":
             self.register_user(UserProfile(
@@ -597,32 +588,27 @@ def _dump_line(obj: dict) -> str:
 _DATES = {m: [name for name, f in fs.items() if f.kind is DATE] for m, fs in MEDIUM_FIELDS.items()}
 
 
-def _canonical_length(data: dict) -> int | None:
-    """The length of a checked record line's object as ``_ENCODER`` writes it, newline
-    excluded, if no string needs an escape; None if that is not the line ``save`` writes
-    for its record: unsorted keys, a null or ``[]`` field, or a date that does not read
-    back as written."""
+def _is_canonical(text: str, data: dict) -> bool:
+    """Whether ``text``, a line holding the checked record ``data``, is the line ``save``
+    writes for that record: keys sorted, no null or ``[]`` field, each date as ``isoformat``
+    writes it, and only as long as its strings and punctuation, so it holds no whitespace,
+    escape or repeated key, and ends in a newline."""
     if list(data) != sorted(data):
-        return None
-    size = 1  # "{" and "}", less the comma the first entry does not need
+        return False
+    size = 2  # "{", "}" and the newline, less the comma the first entry does not need
     for key, value in data.items():
         if type(value) is str:
-            size += len(key) + len(value) + 6
+            size += len(key) + len(value) + 6  # "key":"value",
             continue
-        if list(value) != sorted(value):
-            return None
-        size += len(key) + 5 + sum(map(len, value)) + 6 * len(value)  # "key":"" for each
-        for item in value.values():
-            if type(item) is str:
-                size += len(item)
-            elif item:  # a list: [], then "item" and a comma for each, less one comma
-                size += sum(map(len, item)) + 3 * len(item) - 1
-            else:  # null or []
-                return None
+        if list(value) != sorted(value) or None in value.values() or [] in value.values():
+            return False
+        size += len(key) + 5 + sum(map(len, value)) + 6 * len(value)  # "key":{} and "name":""
+        for item in value.values():  # a list: [], then "item" and a comma for each, less one
+            size += len(item) if type(item) is str else sum(map(len, item)) + 3 * len(item) - 1
         for name in _DATES[key]:
             if name in value and date.fromisoformat(value[name]).isoformat() != value[name]:
-                return None
-    return size
+                return False
+    return len(text) == size and text[-1] == "\n"
 
 
 def _write_catalog(path: str | Path, lines: Iterable[str]) -> None:

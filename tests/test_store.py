@@ -720,6 +720,26 @@ def test_save_after_load_writes_canonical_record_lines(tmp_path, rewrite):
     assert loaded.snapshot() == store.snapshot()
 
 
+# A record line one character longer than its canonical text, last in a file that
+# has no final newline: save must still end it with one.
+@pytest.mark.parametrize("title, rewrite", [("floppy", lambda line: " " + line),
+                                             ('5" floppy', lambda line: line)],  # escaped: \"
+                         ids=["leading-space", "escaped-quote"])
+def test_save_after_load_ends_a_last_record_line_without_a_newline(tmp_path, title, rewrite):
+    store = _varied_record_store()
+    store.put_record(text_record("d4", title=title))
+    canonical, varied, resaved = (tmp_path / name for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
+    store.save(canonical)
+    lines = canonical.read_text(encoding="utf-8").splitlines()
+    last = next(line for line in lines if '"document_code":"fx:d4"' in line)
+    lines.remove(last)
+    varied.write_text("".join(line + "\n" for line in lines) + rewrite(last), encoding="utf-8")
+    loaded = CatalogStore.load(varied)
+    loaded.save(resaved)
+    assert resaved.read_bytes() == canonical.read_bytes()
+    assert CatalogStore.load(resaved).snapshot() == store.snapshot()
+
+
 def test_a_loaded_record_is_decoded_when_first_read_and_once(tmp_path, monkeypatch):
     path = tmp_path / "catalog.jsonl"
     _varied_record_store().save(path)
