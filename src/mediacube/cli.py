@@ -20,7 +20,7 @@ from .errors import BadRequest, MediaCubeError, exit_code
 from .federation import (ADAPTER_KINDS, SourceDescriptor, ingest_source, mapping_from_dict,
                          source_record_to_dict)
 from .store import (USE_TYPES, CatalogStore, StorageIO, UserProfile, format_timestamp,
-                    parse_usage_event)
+                    parse_usage_event, read_json)
 
 CATALOG_ENV = "MEDIACUBE_CATALOG"
 
@@ -62,11 +62,9 @@ def _dump_json(obj) -> str:
 def _cmd_source_register(args) -> int:
     store, path = _open_store(args, create=True)
     try:
-        mapping_data = json.loads(Path(args.mapping).read_text(encoding="utf-8"))
+        mapping_data = read_json(Path(args.mapping).read_bytes())
     except OSError as exc:
         raise StorageIO(f"cannot read mapping file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadRequest(f"mapping file is not valid JSON: {exc}") from None
     descriptor = SourceDescriptor(
         source_id=args.source_id,
         kind=args.kind,

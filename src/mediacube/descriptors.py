@@ -265,6 +265,12 @@ class ValidationReport:
     def empty(self) -> bool:
         return not self.violations and not self.warnings
 
+    def refuse(self, code: object, error: type[Exception]) -> None:
+        """Raise ``error`` naming each violation of the record ``code``, if it has any, as
+        ``code: field: message; …``."""
+        if self.violations:
+            raise error(f"{code}: " + "; ".join(f"{p.field}: {p.message}" for p in self.violations))
+
 
 _CLEAN = ValidationReport()  # shared by every record without a problem
 Vocabularies = Mapping[str, ControlledVocabulary] | Iterable[ControlledVocabulary] | None
@@ -298,13 +304,12 @@ def validate_record(record: GenericRecord, vocabularies: Vocabularies = None,
     return _check(record.media_class, descriptors, _is_kind, vocabularies, known_codes, [])
 
 
-def check_record_dict(data: Mapping[str, object], vocabularies: Vocabularies = None,
-                      known_codes: Iterable[str] | None = None) -> ValidationReport:
+def check_record_dict(data: Mapping[str, object]) -> ValidationReport:
     """Check a record in its JSON form, as :func:`record_to_dict` writes it.
 
-    The rules are those of :func:`validate_record`, with each value in the JSON
-    form of its kind; on top, the code must parse, the class token be known and
-    each descriptor be an object. Other top-level keys are not read.
+    The rules are those of :func:`validate_record` with the built-in vocabularies,
+    each value in the JSON form of its kind; on top, the code must parse, the class
+    token be known and each descriptor be an object. Other top-level keys are not read.
     """
     violations: list[Problem] = []
     try:
@@ -316,7 +321,7 @@ def check_record_dict(data: Mapping[str, object], vocabularies: Vocabularies = N
     except (ValueError, TypeError) as exc:  # TypeError: a token that is not hashable
         violations.append(Problem("media_class", "media-class", str(exc)))
         media_class = None
-    return _check(media_class, data, _is_json_kind, vocabularies, known_codes, violations)
+    return _check(media_class, data, _is_json_kind, None, None, violations)
 
 
 def _check(media_class: MediaClass | None, descriptors: Mapping[str, object],

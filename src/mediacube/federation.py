@@ -316,10 +316,7 @@ def map_to_generic(raw: SourceRecord, mapping: FieldMapping) -> GenericRecord:
         media_class=classify(presence),
         **{m: make_descriptor(m, values[m]) if present[m] else None for m in MEDIA},
     )
-    report = validate_record(record)
-    if not report.ok:
-        details = "; ".join(f"{p.field}: {p.message}" for p in report.violations)
-        raise MappedRecordInvalid(f"{code}: {details}")
+    validate_record(record).refuse(code, MappedRecordInvalid)
     return record
 
 
@@ -343,21 +340,29 @@ def _parse_meta_lines(lines, locator: str) -> dict[str, str]:
 def _read_tabular(descriptor: SourceDescriptor, wanted: str | None) -> Iterator[SourceItem]:
     """Read a tabular source row by row; a row's locator is ``line N``.
 
+    Each row is decoded on its own, so one that is not UTF-8 is a problem of its own.
     A row of the wrong width has local_id None; blank lines are skipped.
     """
     path = Path(descriptor.location)
     try:
-        handle = path.open(encoding="utf-8")
+        handle = path.open("rb")
     except OSError as exc:
         raise SourceUnreachable(f"{descriptor.source_id}: cannot open {path}: {exc}") from exc
     with handle:
-        first = next(handle, None)
-        if first is None:
-            return
-        header = first.rstrip("\n").split("\t")
+        try:  # an empty file has one empty column and no rows
+            header = next(handle, b"").decode("utf-8").rstrip("\r\n").split("\t")
+        except UnicodeDecodeError as exc:
+            raise SourceUnreachable(f"{descriptor.source_id}: header of {path} is not UTF-8: "
+                                    f"{exc.reason} at byte {exc.start}") from None
         id_column = header.index("local_id") if "local_id" in header else 0
         for line_no, line in enumerate(handle, start=2):
-            cells = line.rstrip("\n").split("\t")
+            try:
+                cells = line.decode("utf-8").rstrip("\r\n").split("\t")
+            except UnicodeDecodeError as exc:
+                if wanted is None:  # a row that cannot be read has no local_id to match
+                    yield f"line {line_no}", None, (
+                        "MalformedSourceRecord", f"not UTF-8: {exc.reason} at byte {exc.start}")
+                continue
             if cells == [""]:
                 continue
             local_id = cells[id_column] if len(cells) == len(header) else None

@@ -10,7 +10,6 @@ Only POST /usage mutates the catalog.
 
 from __future__ import annotations
 
-import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -21,7 +20,7 @@ from .codes import parse_document_code
 from .descriptors import record_to_dict
 from .errors import BadRequest, MediaCubeError, http_status
 from .federation import source_record_to_dict
-from .store import CatalogStore, format_timestamp, parse_usage_event
+from .store import _ENCODER, CatalogStore, context_to_dict, parse_usage_event, read_json
 
 #: Largest request body read; a longer one is answered 413 unread.
 MAX_BODY_BYTES = 64 * 1024
@@ -65,8 +64,7 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         pass
 
     def _send_json(self, status: int, payload) -> None:
-        body = json.dumps(payload, sort_keys=True, ensure_ascii=False,
-                          separators=(",", ":")).encode("utf-8")
+        body = _ENCODER.encode(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
@@ -108,10 +106,7 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         return 200, source_record_to_dict(raw)
 
     def _get_contexts(self):
-        return 200, [
-            {"label": c.label, "origin": c.origin, "first_seen": format_timestamp(c.first_seen)}
-            for c in self.server.store.list_contexts()
-        ]
+        return 200, list(map(context_to_dict, self.server.store.list_contexts()))
 
     def _get_cube(self, query_text: str):
         pairs = parse_qsl(query_text, keep_blank_values=True)
@@ -163,10 +158,7 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
             body = self.rfile.read(int(length))
         except TimeoutError:
             raise RequestTimeout(f"body of {length} bytes not sent in {self.timeout} s") from None
-        try:
-            data = json.loads(body.decode("utf-8") or "{}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise BadRequest(f"body is not valid JSON: {exc}") from None
+        data = read_json(body or b"{}")
         if not isinstance(data, dict):
             raise BadRequest("body must be a JSON object")
         return data

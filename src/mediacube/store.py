@@ -22,7 +22,7 @@ import os
 import threading
 from array import array
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from datetime import date, datetime, timedelta, timezone
 from functools import cached_property
 from itertools import chain
@@ -30,8 +30,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .codes import DocumentCode, parse_document_code
-from .descriptors import (DATE, MEDIA, MEDIUM_FIELDS, GenericRecord, ValidationReport,
-                          check_record_dict, record_from_dict, record_to_dict, validate_record)
+from .descriptors import (DATE, MEDIUM_FIELDS, GenericRecord, check_record_dict, record_from_dict,
+                          record_to_dict, validate_record)
 from .errors import BadRequest, MediaCubeError
 from .federation import SourceRegistry, source_from_dict, source_to_dict
 
@@ -308,7 +308,7 @@ class CatalogStore:
         Related-document references are not checked: a dangling one is accepted.
         """
         with self._lock:
-            _refuse_invalid(record.document_code, validate_record(record))
+            validate_record(record).refuse(record.document_code, RecordInvalid)
             code = str(record.document_code)
             self._records.lines[code] = _dump_line({"kind": "record", **record_to_dict(record)})
             self._records.decoded[code] = record
@@ -439,24 +439,14 @@ class CatalogStore:
             yield _dump_line({"kind": "source", **source_to_dict(descriptor)})
         yield from map(self._records.lines.__getitem__, sorted(self._records.lines))
         for user_id in sorted(self._users):
-            profile = self._users[user_id]
-            obj = {"kind": "user", "user_id": profile.user_id, "name": profile.name}
-            if profile.address is not None:
-                obj["address"] = profile.address
-            if profile.social_class is not None:
-                obj["social_class"] = profile.social_class
-            yield _dump_line(obj)
+            values = vars(self._users[user_id]).items()
+            yield _dump_line({"kind": "user", **{k: v for k, v in values if v is not None}})
         contexts = list(self._contexts.values())
         if row is not None and row[3] not in self._contexts:  # as ``_append`` will register it
             contexts.append(ContextEntry(label=row[3], origin="dynamic",
                                          first_seen=_instant(row[1])))
         for entry in sorted(contexts, key=_context_order):
-            yield _dump_line({
-                "kind": "context",
-                "label": entry.label,
-                "origin": entry.origin,
-                "first_seen": format_timestamp(entry.first_seen),
-            })
+            yield _dump_line({"kind": "context", **context_to_dict(entry)})
         rows = chain(zip(self._event_ids, self._event_seconds, self._event_codes,
                          self._event_contexts, self._event_users, self._event_use_types),
                      [row] if row is not None else ())
@@ -480,8 +470,8 @@ class CatalogStore:
         :meth:`register_user` and events the check of :meth:`record_usage`. On top, a
         line holds only its kind's keys, event ids must increase, each event's context
         must have its registry line, and a context line must be one a write can create.
-        A line that is not UTF-8, not a JSON object, or refused raises
-        :class:`CorruptCatalog` naming the line.
+        A line that :func:`read_json` refuses, that is not a JSON object, or that fails
+        a check raises :class:`CorruptCatalog` naming the line.
         """
         try:
             file = open(path, "rb")
@@ -494,23 +484,16 @@ class CatalogStore:
                 if raw == b"\n":
                     continue
                 try:
-                    text = raw.decode("utf-8")
-                    data = json.loads(text)
-                except UnicodeDecodeError as exc:
-                    raise CorruptCatalog(line_number, f"not UTF-8: {exc.reason} "
-                                                      f"at byte {exc.start}") from None
-                except json.JSONDecodeError as exc:
-                    raise CorruptCatalog(line_number, f"invalid JSON: {exc.msg}") from exc
-                if not isinstance(data, dict):
-                    raise CorruptCatalog(line_number, f"not a JSON object: {data!r:.40}")
-                try:
-                    store._apply_loaded(text, data, declared)
+                    store._apply_loaded(raw, declared)
                 except (MediaCubeError, AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise CorruptCatalog(line_number, str(exc)) from exc
         return store
 
-    def _apply_loaded(self, text: str, data: dict, declared: set[str]) -> None:
-        """Admit ``text``, one line, as ``data``; ``declared`` holds earlier context labels."""
+    def _apply_loaded(self, raw: bytes, declared: set[str]) -> None:
+        """Admit ``raw``, one line; ``declared`` holds earlier context labels."""
+        data = read_json(raw)
+        if not isinstance(data, dict):
+            raise ValueError(f"not a JSON object: {data!r:.40}")
         kind = data.get("kind")
         keys = _LINE_KEYS.get(kind)
         if keys is None:
@@ -521,17 +504,13 @@ class CatalogStore:
         if kind == "source":
             self.sources.register(source_from_dict(data))
         elif kind == "record":
-            _refuse_invalid(data.get("document_code"), check_record_dict(data))
+            check_record_dict(data).refuse(data.get("document_code"), RecordInvalid)
+            text = raw.decode("utf-8")  # as ``read_json`` did
             if not _is_canonical(text, data):  # re-encode the record, as ``put_record`` would
                 text = _dump_line({"kind": "record", **record_to_dict(record_from_dict(data))})
             self._records.lines[data["document_code"]] = text
         elif kind == "user":
-            self.register_user(UserProfile(
-                user_id=data["user_id"],
-                name=data["name"],
-                address=data.get("address"),
-                social_class=data.get("social_class"),
-            ))
+            self.register_user(UserProfile(**{k: v for k, v in data.items() if k != "kind"}))
         elif kind == "context":
             # Only the lines a write can create: each label once, the four static
             # contexts as a fresh store holds them, and any other label dynamic.
@@ -563,22 +542,39 @@ class CatalogStore:
             self._append(event_id, seconds, code, context, user_id, use_type)
 
 
-#: The keys each kind of catalog line may hold.
+def context_to_dict(entry: ContextEntry) -> dict:
+    """A context's JSON form, as its catalog line and ``GET /contexts`` show it."""
+    return {"label": entry.label, "origin": entry.origin,
+            "first_seen": format_timestamp(entry.first_seen)}
+
+
+#: The keys each kind of catalog line may hold: a source line's are spelled out,
+#: as ``adapter`` names no field, and the others are their dataclass's fields.
 _LINE_KEYS = {"source": {"kind", "source_id", "adapter", "location", "enabled", "mapping"},
-              "record": {"kind", "document_code", "media_class", *MEDIA},
-              "user": {"kind", "user_id", "name", "address", "social_class"},
-              "context": {"kind", "label", "origin", "first_seen"},
-              "event": {"kind", "event_id", "document_code", "context", "user_id",
-                        "timestamp", "use_type"}}
+              **{kind: {"kind", *(f.name for f in dataclass_fields(cls))} for kind, cls in (
+                  ("record", GenericRecord), ("user", UserProfile), ("context", ContextEntry),
+                  ("event", UsageEvent))}}
 
 
-def _refuse_invalid(code: object, report: ValidationReport) -> None:
-    if not report.ok:
-        details = "; ".join(f"{p.field}: {p.message}" for p in report.violations)
-        raise RecordInvalid(f"{code}: {details}")
-
-
+#: The one encoder of the catalog's lines and the service's bodies.
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
+def read_json(raw: bytes) -> object:
+    """Parse ``raw``, JSON from outside the program, as UTF-8 text.
+
+    Raises :class:`BadRequest` for bytes that are not UTF-8 and for text that is
+    not JSON, which includes an integer over the interpreter's digit limit and
+    nesting past its recursion limit (RFC 8259 §9 lets a parser limit both).
+    """
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadRequest(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
+        raise BadRequest(f"not valid JSON: {exc}") from None
 
 
 def _dump_line(obj: dict) -> str:

@@ -140,6 +140,22 @@ def test_ingest_reports_problems_on_stderr(tmp_path, capsys):
     assert "1 record problem(s)" in err
 
 
+def test_ingest_counts_a_row_that_is_not_utf8_as_one_problem(tmp_path, capsys):
+    catalog, table = tmp_path / "catalog.jsonl", tmp_path / "books.tsv"
+    descriptor = write_tabular_source(table, count=3)
+    table.write_bytes(table.read_bytes().replace(b"Title 2", b"Title \xff"))
+    mapping_file = tmp_path / "mapping.json"
+    mapping_file.write_text(json.dumps(mapping_to_dict(descriptor.mapping)), encoding="utf-8")
+    run("--catalog", str(catalog), "source-register", "--source-id", "lib", "--kind", "tabular",
+        "--location", str(table), "--mapping", str(mapping_file), capsys=capsys)
+
+    code, out, err = run("--catalog", str(catalog), "ingest", "lib", capsys=capsys)
+    assert code == 0
+    assert "ingested 2 records" in out
+    assert err.startswith("line 3\tMalformedSourceRecord\tnot UTF-8: ")
+    assert "1 record problem(s)" in err
+
+
 def test_user_register_and_usage_log(five_event_catalog, capsys):
     code, _, _ = run("--catalog", str(five_event_catalog), "user-register",
                      "--user-id", "u3", "--name", "Lin",

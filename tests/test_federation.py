@@ -485,6 +485,14 @@ def test_tabular_resolve_missing_id_and_missing_file(tmp_path):
         registry.resolve(parse_document_code("s01:b1"))
 
 
+def test_tabular_header_not_utf8_fails_the_source(tmp_path):
+    path = tmp_path / "t.tsv"
+    registry = tabular_source(path, "b1\tbook\tOne\n")
+    path.write_bytes(b"\xff" + path.read_bytes())
+    with pytest.raises(SourceUnreachable, match="not UTF-8"):
+        registry.harvest("s01")
+
+
 def test_tabular_resolve_stops_at_the_matching_row(tmp_path):
     # Bytes that are not UTF-8, far past the match: a scan that read on
     # to the end of the file would fail on them.

@@ -18,9 +18,10 @@ from mediacube.service import (
     MAX_BODY_BYTES,
     REQUEST_TIMEOUT_S,
     CatalogRequestHandler,
+    CatalogServer,
     make_server,
 )
-from mediacube.store import CatalogStore
+from mediacube.store import CatalogStore, CorruptCatalog
 
 
 @pytest.fixture
@@ -344,3 +345,37 @@ def test_unfinished_headers_close_the_connection(served_catalog, monkeypatch):
         sock.sendall(b"POST /usage HTTP/1.1\r\nHost: x\r\n")  # no blank line
         assert sock.recv(65536) == b""
     assert time.monotonic() - started < 3.0
+
+
+# JSON from outside that ``json.loads`` fails on in three ways: nesting past the
+# recursion limit, an integer past the digit limit, and bytes that are not UTF-8.
+REFUSED_JSON = {
+    "deep-nesting": b"[" * 5000,
+    "long-integer": b'{"kind":"event","event_id":' + b"9" * 5000 + b"}",
+    "not-utf8": b'{"kind":"\xe9"}',
+}
+
+
+@pytest.mark.parametrize("raw", REFUSED_JSON.values(), ids=REFUSED_JSON.keys())
+def test_every_reader_of_outside_json_refuses_it(five_event_catalog, tmp_path, capsys,
+                                                 monkeypatch, raw):
+    faults = []
+    monkeypatch.setattr(CatalogServer, "handle_error", lambda self, *args: faults.append(args))
+    with serving(CatalogStore.load(five_event_catalog), five_event_catalog) as base:
+        status, body = raw_post(base, f"Content-Length: {len(raw)}\r\n", raw)
+    assert (status, body["error"], faults) == (400, "BadRequest", [])
+
+    mapping = tmp_path / "mapping.json"
+    mapping.write_bytes(raw)
+    code = main(["--catalog", str(tmp_path / "new.jsonl"), "source-register",
+                 "--source-id", "lib", "--kind", "tabular", "--location", "books.tsv",
+                 "--mapping", str(mapping)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("BadRequest: ") and err.count("\n") == 1
+
+    five_event_catalog.write_bytes(five_event_catalog.read_bytes() + raw + b"\n")
+    line = five_event_catalog.read_bytes().count(b"\n")
+    with pytest.raises(CorruptCatalog, match=f"^line {line}: ") as refused:
+        CatalogStore.load(five_event_catalog)
+    assert refused.value.line_number == line
