@@ -25,7 +25,7 @@ from __future__ import annotations
 import socket
 import threading
 from contextlib import closing
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from datetime import date
 from itertools import islice
 from pathlib import Path
@@ -133,8 +133,8 @@ class FieldRule:
 class FieldMapping:
     """Declarative mapping from a source's raw fields to the generic schema."""
 
-    presence_rules: tuple[PresenceRule, ...]
-    field_rules: tuple[FieldRule, ...]
+    presence_rules: tuple[PresenceRule, ...] = field(metadata={"json": "presence"})
+    field_rules: tuple[FieldRule, ...] = field(default=(), metadata={"json": "fields"})
     defaults: Mapping[str, str] = field(default_factory=dict)
     uri_field: str | None = None
 
@@ -187,23 +187,32 @@ class IngestReport:
 
 
 def validate_mapping(mapping: FieldMapping) -> None:
-    """Raise :class:`InvalidMapping` naming the first offending rule."""
+    """The one check of a mapping, however it was built: raise :class:`InvalidMapping`
+    naming the first offending value or rule. Value types are checked first."""
+    for rule in (*mapping.presence_rules, *mapping.field_rules):
+        for f in dataclass_fields(rule):
+            value = getattr(rule, f.name)
+            if not (isinstance(value, str) and value or value is None and f.default is None):
+                raise InvalidMapping(
+                    f"{type(rule).__name__} {f.name!r} must be a non-empty string, got {value!r}")
+    if not (isinstance(mapping.defaults, Mapping) and all(
+            isinstance(k, str) and isinstance(v, str) for k, v in mapping.defaults.items())):
+        raise InvalidMapping(f"mapping 'defaults' must be an object of strings, "
+                             f"got {mapping.defaults!r}")
+    if not isinstance(mapping.uri_field, (str, type(None))):
+        raise InvalidMapping(f"mapping 'uri_field' must be a string, got {mapping.uri_field!r}")
     if not mapping.presence_rules:
         raise InvalidMapping("mapping declares no presence rules")
     for rule in mapping.presence_rules:
         if rule.medium not in MEDIA:
             raise InvalidMapping(f"presence rule names unknown medium {rule.medium!r}")
-        if not rule.field:
-            raise InvalidMapping(f"presence rule for {rule.medium} names no raw field")
     for rule in mapping.field_rules:
-        if not rule.source:
-            raise InvalidMapping(f"{rule.target}: rule names no raw source field")
         spec = SCHEMA_FIELDS.get(rule.target)
         if spec is None:
             raise InvalidMapping(rule.target)
         if rule.transform not in TRANSFORMS:
             raise InvalidMapping(f"{rule.target}: unknown transform {rule.transform!r}")
-        if rule.transform == "date-parse" and spec.kind != DATE:
+        if rule.transform == "date-parse" and spec.kind is not DATE:
             raise InvalidMapping(f"{rule.target}: date-parse targets a non-date field")
         if rule.transform == "split-list" and spec.kind.item_type is None:
             raise InvalidMapping(f"{rule.target}: split-list targets a scalar field")
@@ -212,7 +221,7 @@ def validate_mapping(mapping: FieldMapping) -> None:
             raise InvalidMapping(target)
     covered = {rule.target for rule in mapping.field_rules} | set(mapping.defaults)
     for medium in mapping.declared_media:
-        for path in required_fields(medium):
+        for path in _REQUIRED_PATHS[medium]:
             if path not in covered:
                 raise InvalidMapping(f"{path} has neither a rule nor a default")
 
@@ -248,10 +257,10 @@ def _coerce(path: str, value: str | tuple[str, ...]) -> object:
     try:
         if kind.item_type is not None:
             items = value if isinstance(value, tuple) else (value,)
-            return tuple(map(parse_document_code, items)) if kind == CODES else items
+            return tuple(map(parse_document_code, items)) if kind is CODES else items
         if isinstance(value, tuple):
             raise ValueError("list value for a scalar field")
-        return _parse_date(value) if kind == DATE else value
+        return _parse_date(value) if kind is DATE else value
     except (ValueError, MalformedCode) as exc:
         raise FieldTransformError(f"{path}: {exc}") from exc
 
@@ -265,6 +274,7 @@ _TRANSFORMS = {
     "split-list": _split_list,
 }
 TRANSFORMS = tuple(_TRANSFORMS)
+_REQUIRED_PATHS = {medium: required_fields(medium) for medium in MEDIA}
 
 
 def map_to_generic(raw: SourceRecord, mapping: FieldMapping) -> GenericRecord:
@@ -307,7 +317,7 @@ def map_to_generic(raw: SourceRecord, mapping: FieldMapping) -> GenericRecord:
             values[spec.medium][spec.attribute] = value
 
     for medium in MEDIA:
-        for path in required_fields(medium) if present[medium] else ():
+        for path in _REQUIRED_PATHS[medium] if present[medium] else ():
             if path not in staged:
                 raise RequiredFieldMissing(path, f"required for {medium} and not mapped")
 
@@ -409,24 +419,22 @@ class _LineClient:
             self._sock = socket.create_connection((host, port), timeout=REMOTE_TIMEOUT)
         except OSError as exc:
             raise SourceUnreachable(f"cannot connect to {host}:{port}: {exc}") from exc
-        self._reader = self._sock.makefile("r", encoding="utf-8", newline="\n")
-        self._writer = self._sock.makefile("w", encoding="utf-8", newline="\n")
+        self._reader = self._sock.makefile("rb")
 
     def send(self, *commands: str) -> None:
         """Send ``commands`` without waiting; :meth:`reply` reads their replies in order."""
         try:
-            self._writer.write("".join(f"{command}\n" for command in commands))
-            self._writer.flush()
+            self._sock.sendall("".join(f"{command}\n" for command in commands).encode("utf-8"))
         except OSError as exc:
             raise SourceUnreachable(f"remote endpoint failed: {exc}") from exc
 
-    def reply(self) -> list[str]:
-        """Read the next reply: its lines up to the blank line.
+    def reply(self) -> list[bytes]:
+        """Read the next reply: its lines up to the blank line, left for the caller to decode.
 
         An ``ERR <msg>`` reply is a single line with no blank terminator,
         so the stream stays aligned for the next reply.
         """
-        lines: list[str] = []
+        lines: list[bytes] = []
         try:
             # ACK at once (Linux only; the kernel clears the flag again): once we
             # stop sending, the endpoint's Nagle holds its last reply for our ACK,
@@ -436,13 +444,13 @@ class _LineClient:
                 self._sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
             while True:
                 line = self._reader.readline()
-                if line == "":
+                if not line:
                     raise SourceUnreachable("connection closed mid-reply")
-                line = line.rstrip("\n")
-                if line == "":
+                line = line.rstrip(b"\n")
+                if not line:
                     return lines
-                if not lines and line.startswith("ERR "):
-                    raise _RemoteFailure(line[4:])
+                if not lines and line.startswith(b"ERR "):
+                    raise _RemoteFailure(line[4:].decode("utf-8", "replace"))
                 lines.append(line)
         except OSError as exc:
             raise SourceUnreachable(f"remote endpoint failed: {exc}") from exc
@@ -450,7 +458,6 @@ class _LineClient:
     def close(self):
         try:
             self._reader.close()
-            self._writer.close()
             self._sock.close()
         except OSError:
             pass
@@ -470,9 +477,16 @@ def _read_remote_line(descriptor: SourceDescriptor, wanted: str | None) -> Itera
         if wanted is None:
             client.send("LIST")
             try:
-                local_ids = sorted({line for line in client.reply() if line})
+                listed = client.reply()
             except _RemoteFailure as exc:
                 raise SourceUnreachable(f"{descriptor.source_id}: LIST failed: {exc}") from exc
+            local_ids = set()
+            for line_no, line in enumerate(listed, start=1):
+                try:
+                    local_ids.add(line.decode("utf-8"))
+                except UnicodeDecodeError as exc:
+                    yield f"LIST line {line_no}", None, ("MalformedSourceRecord", str(exc))
+            local_ids = sorted(local_ids)
         else:  # a LIST line holds no newline, and one in ``wanted`` would send two requests
             local_ids = [] if "\n" in wanted else [wanted]
         # A sliding window of GET_WINDOW requests in flight: one more goes out
@@ -483,7 +497,8 @@ def _read_remote_line(descriptor: SourceDescriptor, wanted: str | None) -> Itera
         for local_id in local_ids:
             client.send(*islice(gets, 1))
             try:
-                fields = _parse_meta_lines(client.reply(), local_id)
+                fields = _parse_meta_lines([line.decode("utf-8") for line in client.reply()],
+                                           local_id)
             except _RemoteFailure as exc:
                 fields = ("NotFoundAtSource", str(exc))
             except ValueError as exc:
@@ -517,7 +532,8 @@ class SourceRegistry:
         self._write_lock = threading.Lock()
 
     def register(self, descriptor: SourceDescriptor) -> str:
-        if not SOURCE_ID_PATTERN.match(descriptor.source_id):
+        if not (isinstance(descriptor.source_id, str)
+                and SOURCE_ID_PATTERN.match(descriptor.source_id)):
             raise MalformedCode(
                 f"source_id {descriptor.source_id!r} must match [a-z0-9_-]{{1,32}}")
         if descriptor.kind not in ADAPTER_KINDS:
@@ -625,48 +641,31 @@ def mapping_to_dict(mapping: FieldMapping) -> dict:
     return out
 
 
-def _text_object(value, what: str) -> dict[str, str]:
-    if not (isinstance(value, Mapping)
-            and all(isinstance(k, str) and isinstance(v, str) for k, v in value.items())):
-        raise InvalidMapping(f"{what} must be an object of strings, got {value!r}")
-    return dict(value)
-
-
-def _rule_objects(data: Mapping, key: str) -> list[dict[str, str]]:
-    entries = data.get(key, [])
-    if not isinstance(entries, list):
-        raise InvalidMapping(f"mapping {key!r} must be a list of objects")
-    return [_text_object(entry, f"a {key!r} rule") for entry in entries]
+def _fields_from_json(cls, data, what: str) -> dict:
+    """``cls``'s keyword arguments from the JSON object ``data``, keyed by each field's
+    ``json`` metadata or name; their values are left to :func:`validate_mapping`."""
+    if not isinstance(data, Mapping):
+        raise InvalidMapping(f"{what} must be a JSON object, got {data!r}")
+    by_key = {f.metadata.get("json", f.name): f for f in dataclass_fields(cls)}
+    for key in data:
+        if key not in by_key:
+            raise InvalidMapping(f"{what} has unknown key {key!r}")
+    for key, f in by_key.items():
+        if key not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise InvalidMapping(f"{what} has no {key!r} key")
+    return {by_key[key].name: value for key, value in data.items()}
 
 
 def mapping_from_dict(data: Mapping) -> FieldMapping:
-    """Build a mapping from its JSON form; :class:`InvalidMapping` if it is malformed.
-
-    Every rule value, every default and ``uri_field`` must be a string.
-    """
-    if not isinstance(data, Mapping):
-        raise InvalidMapping(f"a mapping must be a JSON object, got {type(data).__name__}")
-    try:
-        presence = tuple(
-            PresenceRule(medium=r["medium"], field=r["field"], equals=r.get("equals"))
-            for r in _rule_objects(data, "presence")
-        )
-        rules = tuple(
-            FieldRule(source=r["source"], target=r["target"],
-                      transform=r.get("transform", "identity"))
-            for r in _rule_objects(data, "fields")
-        )
-    except KeyError as exc:
-        raise InvalidMapping(f"a mapping rule has no {exc} key") from None
-    uri_field = data.get("uri_field")
-    if "uri_field" in data and not isinstance(uri_field, str):
-        raise InvalidMapping(f"mapping 'uri_field' must be a string, got {uri_field!r}")
-    return FieldMapping(
-        presence_rules=presence,
-        field_rules=rules,
-        defaults=_text_object(data.get("defaults", {}), "mapping 'defaults'"),
-        uri_field=uri_field,
-    )
+    """Build a mapping from its JSON form; :class:`InvalidMapping` if its shape is wrong."""
+    values = _fields_from_json(FieldMapping, data, "a mapping")
+    for f, rule in zip(dataclass_fields(FieldMapping), (PresenceRule, FieldRule)):  # rule lists
+        key, entries = f.metadata["json"], values.get(f.name, [])
+        if not isinstance(entries, list):
+            raise InvalidMapping(f"mapping {key!r} must be a list of objects")
+        values[f.name] = tuple(rule(**_fields_from_json(rule, entry, f"a {key!r} rule"))
+                               for entry in entries)
+    return FieldMapping(**values)
 
 
 def source_to_dict(descriptor: SourceDescriptor) -> dict:

@@ -556,23 +556,29 @@ _LINE_KEYS = {"source": {"kind", "source_id", "adapter", "location", "enabled", 
                   ("event", UsageEvent))}}
 
 
-#: The one encoder of the catalog's lines and the service's bodies.
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+#: The one encoder of the catalog's lines and the service's bodies, and the one
+#: decoder of outside JSON, which refuses ``NaN`` and ``Infinity`` as RFC 8259 does.
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+_DECODER = json.JSONDecoder(parse_constant=_no_constant)
 
 
 def read_json(raw: bytes) -> object:
     """Parse ``raw``, JSON from outside the program, as UTF-8 text.
 
     Raises :class:`BadRequest` for bytes that are not UTF-8 and for text that is
-    not JSON, which includes an integer over the interpreter's digit limit and
-    nesting past its recursion limit (RFC 8259 §9 lets a parser limit both).
+    not JSON, which includes ``NaN``, an integer over the interpreter's digit limit
+    and nesting past its recursion limit (RFC 8259 §9 lets a parser limit both).
     """
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise BadRequest(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
         raise BadRequest(f"not valid JSON: {exc}") from None
 

@@ -279,6 +279,24 @@ def test_source_register_malformed_mapping_is_invalid_mapping(tmp_path, capsys, 
     assert err.startswith("InvalidMapping: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mapping, key", [
+    ({**TEXT_MAPPING, "defualts": {}}, "defualts"),
+    ({**TEXT_MAPPING, "presence": [{"medium": "text", "field": "kind", "equal": "book"}]},
+     "equal"),
+    ({**TEXT_MAPPING, "fields": [{"source": "title", "target": "text.title",
+                                  "transfrom": "lowercase"}]}, "transfrom"),
+], ids=["mapping", "presence-rule", "field-rule"])
+def test_source_register_unknown_mapping_key_is_invalid_mapping(tmp_path, capsys, mapping, key):
+    mapping_file = tmp_path / "mapping.json"
+    mapping_file.write_text(json.dumps(mapping), encoding="utf-8")
+    code, out, err = run("--catalog", str(tmp_path / "catalog.jsonl"), "source-register",
+                         "--source-id", "lib", "--kind", "tabular",
+                         "--location", str(tmp_path / "books.tsv"),
+                         "--mapping", str(mapping_file), capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("InvalidMapping: ") and f"unknown key '{key}'" in err
+
+
 def test_catalog_line_not_utf8_is_corrupt_catalog(five_event_catalog, capsys):
     five_event_catalog.write_bytes(five_event_catalog.read_bytes() + b'{"kind":"\xe9"}\n')
     code, _, err = run("--catalog", str(five_event_catalog), "contexts", capsys=capsys)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import shutil
 import socket
 import socketserver
@@ -9,6 +10,7 @@ import threading
 import time
 from contextlib import contextmanager
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,7 @@ from catalog_fixtures import (
     write_tabular_source,
 )
 from mediacube import federation
-from mediacube.codes import DocumentCode, parse_document_code
+from mediacube.codes import DocumentCode, MalformedCode, parse_document_code
 from mediacube.federation import (
     DuplicateSource,
     FieldMapping,
@@ -96,6 +98,31 @@ def test_mapping_missing_required_coverage_rejected():
     )
     with pytest.raises(InvalidMapping, match="image."):
         validate_mapping(mapping)
+
+
+@pytest.mark.parametrize("change", [
+    {"defaults": None},
+    {"defaults": {"text.author": 5}},
+    {"uri_field": 5},
+    {"presence_rules": (PresenceRule(medium="text", field="kind", equals=5),)},
+    {"presence_rules": (PresenceRule(medium="text", field="kind", equals=""),)},
+    {"presence_rules": (PresenceRule(medium="text", field=""),)},
+    {"field_rules": (FieldRule(source="", target="text.title"),)},
+    {"field_rules": (FieldRule(source="title", target=["text.title"]),)},
+], ids=["defaults-none", "default-not-a-string", "uri-field-not-a-string",
+        "equals-not-a-string", "equals-empty", "field-empty", "source-empty",
+        "target-unhashable"])
+def test_register_checks_the_values_of_a_mapping_built_in_python(tmp_path, change):
+    descriptor = write_tabular_source(tmp_path / "books.tsv", count=1)
+    mapping = dataclasses.replace(descriptor.mapping, **change)
+    with pytest.raises(InvalidMapping):
+        SourceRegistry().register(dataclasses.replace(descriptor, mapping=mapping))
+
+
+def test_register_refuses_a_source_id_that_is_not_a_string(tmp_path):
+    descriptor = write_tabular_source(tmp_path / "books.tsv", count=1)
+    with pytest.raises(MalformedCode, match="source_id 5 must match"):
+        SourceRegistry().register(dataclasses.replace(descriptor, source_id=5))
 
 
 def test_mapping_transform_kind_mismatch_rejected():
@@ -332,6 +359,19 @@ def test_source_dict_round_trip(tmp_path):
     assert source_from_dict(data) == descriptor
 
 
+def test_readme_mapping_example_registers_and_maps_a_row():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Source kinds and mappings\n", 1)[1]
+    mapping = mapping_from_dict(json.loads(section.split("```json\n", 1)[1].split("```", 1)[0]))
+    registry_with(SourceDescriptor(source_id="lib", kind="tabular", location="books.tsv",
+                                   mapping=mapping))
+    raw = SourceRecord("lib", "b1", {"kind": "book", "title": "Tides", "published": "2001/2/3",
+                                     "keywords": "sea, moon"})
+    record = map_to_generic(raw, mapping)
+    assert (record.text.title, record.text.reference_date) == ("Tides", date(2001, 2, 3))
+    assert record.text.descriptors == ("sea", "moon") and record.sound is None
+
+
 def test_source_descriptor_bad_kind_rejected(tmp_path):
     descriptor = SourceDescriptor(source_id="x", kind="carrier-pigeon",
                                   location="nowhere", mapping=BOOK_MAPPING)
@@ -356,9 +396,17 @@ class _ScriptedLineHandler(socketserver.StreamRequestHandler):
             self.wfile.write(reply.encode("utf-8"))
 
 
+class _BytesLineHandler(socketserver.StreamRequestHandler):
+    """Answers each command, LIST included, with its scripted bytes, in one write."""
+
+    def handle(self):
+        for raw in self.rfile:
+            self.wfile.write(self.server.replies.get(raw.rstrip(b"\n"), b"ERR unknown command\n"))
+
+
 @contextmanager
-def scripted_line_server(replies: dict[str, str]):
-    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _ScriptedLineHandler)
+def scripted_line_server(replies: dict, handler=_ScriptedLineHandler):
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), handler)
     server.daemon_threads = True
     server.replies = replies
     thread = threading.Thread(target=lambda: server.serve_forever(poll_interval=0.02),
@@ -401,6 +449,24 @@ def test_windowed_harvest_matches_lockstep_on_err_and_malformed(monkeypatch):
     assert len(windowed.records) == len(replies) - 4
     by_id = {r.local_id: r.raw_fields for r in windowed.records}
     assert by_id["s070"] == {} and by_id["s069"] == {"artist": "A69", "stype": "MUSIC"}
+
+
+@pytest.mark.parametrize("bad, locator, case", [
+    ({b"GET a2": b"title\tT\xffwo\n\n"}, "a2", "MalformedSourceRecord"),
+    ({b"GET a2": b"ERR gone \xff\n"}, "a2", "NotFoundAtSource"),
+    ({b"LIST": b"a1\nb\xff2\na3\n\n"}, "LIST line 2", "MalformedSourceRecord"),
+], ids=["get-reply", "err-reply", "list-reply"])
+def test_remote_line_reply_line_not_utf8_is_one_problem(bad, locator, case):
+    replies = {b"LIST": b"a1\na2\na3\n\n", b"GET a1": b"title\tOne\n\n",
+               b"GET a2": b"title\tTwo\n\n", b"GET a3": b"title\tThree\n\n", **bad}
+    with scripted_line_server(replies, _BytesLineHandler) as endpoint:
+        started = time.monotonic()
+        result = registry_with(remote_source(endpoint)).harvest("radio")
+        elapsed = time.monotonic() - started
+    assert [(p.locator, p.case) for p in result.problems] == [(locator, case)]
+    assert {r.local_id: r.raw_fields["title"] for r in result.records} == {
+        "a1": "One", "a3": "Three"}
+    assert elapsed < 2.0, f"harvest took {elapsed:.2f} s"
 
 
 def test_linewise_remote_harvest_does_not_stall_per_record():

@@ -353,6 +353,7 @@ REFUSED_JSON = {
     "deep-nesting": b"[" * 5000,
     "long-integer": b'{"kind":"event","event_id":' + b"9" * 5000 + b"}",
     "not-utf8": b'{"kind":"\xe9"}',
+    "nan": json.dumps({**USAGE, "note": float("nan")}).encode(),
 }
 
 

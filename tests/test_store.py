@@ -278,6 +278,13 @@ def test_save_load_preserves_sources(tmp_path):
     ("enabled", "false", "source enabled must be a bool, got 'false'"),
     ("location", 5, "source location must be a string, got 5"),
     ("bogus", 1, "unknown source key: bogus"),
+    ("mapping", {"presence": [{"medium": "text", "field": "kind"}], "defualts": {}},
+     "a mapping has unknown key 'defualts'"),
+    ("mapping", {"presence": [{"medium": "text", "field": "kind", "equal": "book"}]},
+     "a 'presence' rule has unknown key 'equal'"),
+    ("mapping", {"presence": [{"medium": "text", "field": "kind"}],
+                 "fields": [{"source": "title", "target": "text.title", "transfrom": "x"}]},
+     "a 'fields' rule has unknown key 'transfrom'"),
 ])
 def test_load_refuses_a_source_line_the_registry_would_refuse(tmp_path, name, value, reason):
     store = CatalogStore()
