@@ -15,9 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from itertools import compress, repeat
+from itertools import repeat
 from operator import itemgetter
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .codes import DocumentCode, MalformedCode, parse_document_code
 from .errors import BadRequest, MediaCubeError
@@ -184,16 +184,18 @@ def _group(snapshot: CatalogSnapshot, fixed: DimensionFilter, keys: tuple[str, .
     columns = {"document": snapshot.event_codes, "context": snapshot.event_contexts,
                "user": snapshot.event_users, "time": snapshot.event_days,
                "use_type": snapshot.event_use_types}
-    wanted = [(columns[d], str(getattr(fixed, d))) for d in ("document", "context", "user")
-              if getattr(fixed, d) is not None]
+    wanted = {d: str(getattr(fixed, d)) for d in ("document", "context", "user")
+              if getattr(fixed, d) is not None}
     if isinstance(fixed.time, date):
-        wanted.append((columns["time"], fixed.time.isoformat()))
+        wanted["time"] = fixed.time.isoformat()
 
-    rows: range | list[int] = range(len(snapshot.event_ids))
+    rows: Sequence[int] = range(len(snapshot.event_ids))
+    # The rows of the shortest posting of a fixed value, each other fixed value tested on them.
+    postings = ((snapshot.event_rows(d, v), columns[d], v) for d, v in wanted.items())
+    for posting, column, value in sorted(postings, key=lambda posting: len(posting[0])):
+        rows = posting if isinstance(rows, range) else [i for i in rows if column[i] == value]
     def pick(column):  # the column's values at ``rows``, in row order
         return column if isinstance(rows, range) else map(column.__getitem__, rows)
-    for column, value in wanted:
-        rows = list(compress(rows, map(value.__eq__, pick(column))))
     if isinstance(fixed.time, tuple):
         start, end = (instant.timestamp() for instant in fixed.time)  # exact: whole seconds
         rows = [i for i in rows if start <= snapshot.event_seconds[i] < end]

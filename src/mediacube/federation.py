@@ -188,13 +188,19 @@ class IngestReport:
 
 def validate_mapping(mapping: FieldMapping) -> None:
     """The one check of a mapping, however it was built: raise :class:`InvalidMapping`
-    naming the first offending value or rule. Value types are checked first."""
-    for rule in (*mapping.presence_rules, *mapping.field_rules):
-        for f in dataclass_fields(rule):
-            value = getattr(rule, f.name)
-            if not (isinstance(value, str) and value or value is None and f.default is None):
-                raise InvalidMapping(
-                    f"{type(rule).__name__} {f.name!r} must be a non-empty string, got {value!r}")
+    naming the first offending value or rule. Shapes and value types are checked first."""
+    if not isinstance(mapping, FieldMapping):
+        raise InvalidMapping(f"mapping must be a FieldMapping, got {mapping!r}")
+    for name, kind in (("presence_rules", PresenceRule), ("field_rules", FieldRule)):
+        rules = getattr(mapping, name)
+        for rule in rules if isinstance(rules, (tuple, list)) else (rules,):
+            if not isinstance(rule, kind):
+                raise InvalidMapping(f"{name} must be a tuple of {kind.__name__}, got {rules!r}")
+            for f in dataclass_fields(rule):
+                value = getattr(rule, f.name)
+                if not (isinstance(value, str) and value or value is None and f.default is None):
+                    raise InvalidMapping(f"{kind.__name__} {f.name!r} must be a non-empty string, "
+                                         f"got {value!r}")
     if not (isinstance(mapping.defaults, Mapping) and all(
             isinstance(k, str) and isinstance(v, str) for k, v in mapping.defaults.items())):
         raise InvalidMapping(f"mapping 'defaults' must be an object of strings, "

@@ -12,20 +12,23 @@ Each record is held as its canonical catalog line, the text ``save`` writes,
 and decoded into a :class:`GenericRecord` only when it is read. The event log
 is held as columns, not as :class:`UsageEvent` objects: event ids and UTC
 epoch seconds in ``array('q')``, and the code text, context, user and use
-type each dictionary-encoded in an ``array('i')``.
+type each dictionary-encoded in an ``array('i')``. ``snapshot`` fills a UTC day
+column and the postings (each value's rows) that let a query read only its rows.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 from array import array
+from bisect import bisect_left
 from contextlib import suppress
 from dataclasses import dataclass, field, fields as dataclass_fields
 from datetime import date, datetime, timedelta, timezone
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, lru_cache
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -41,6 +44,8 @@ STATIC_CONTEXTS = ("teaching", "learning", "documentation", "entertainment")
 #: first_seen for the four static contexts: they predate every event log.
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _SECOND = timedelta(seconds=1)
+#: A day's UTC label (``YYYY-MM-DD``), the day counted from the epoch: one ``isoformat`` a day.
+_day_label = lru_cache(maxsize=1 << 16)(lambda day: _instant(day * 86400).date().isoformat())
 
 
 class RecordInvalid(MediaCubeError):
@@ -196,8 +201,9 @@ class CatalogSnapshot:
     ``record_by_code`` decodes a record on first read, and ``records`` all of
     them. The events come as columns, all in event order: the event id, the
     UTC epoch seconds, the canonical document-code text, the context, the user
-    and the use type. Analytics groups over these columns; ``event_days`` and
-    ``events`` are built from them on first read.
+    and the use type. Analytics groups over these columns; ``events`` is built from them
+    on first read. ``columns`` are the store's code, context, user and day columns, which
+    later snapshots extend; ``event_days`` and :meth:`event_rows` stop at its row count.
     """
 
     record_by_code: Mapping[str, GenericRecord]
@@ -209,6 +215,7 @@ class CatalogSnapshot:
     event_contexts: tuple[str, ...]
     event_users: tuple[str, ...]
     event_use_types: tuple[str, ...]
+    columns: Mapping[str, _Column] = field(compare=False, repr=False)
 
     # Derived from the value fields; excluded from equality.
     user_by_id: Mapping[str, UserProfile] = field(init=False, compare=False, repr=False)
@@ -226,10 +233,16 @@ class CatalogSnapshot:
 
     @cached_property
     def event_days(self) -> tuple[str, ...]:
-        """Each event's UTC day label (``YYYY-MM-DD``): one ``isoformat`` per distinct day."""
-        days = [seconds // 86400 for seconds in self.event_seconds]  # floors before 1970 too
-        labels = {day: _instant(day * 86400).date().isoformat() for day in set(days)}
-        return tuple(map(labels.__getitem__, days))
+        """Each event's UTC day label (``YYYY-MM-DD``), decoded from the day column."""
+        days = self.columns["time"]
+        return tuple(map(days.values.__getitem__, islice(days.indices, len(self.event_ids))))
+
+    def event_rows(self, dimension: str, value: str) -> array:
+        """The rows, ascending, whose ``dimension`` (a key of ``columns``) holds ``value``."""
+        column = self.columns[dimension]
+        index = column.index.get(value, -1)  # a value first seen later may have no posting yet
+        posting = column.postings[index] if 0 <= index < len(column.postings) else array("i")
+        return posting[:bisect_left(posting, len(self.event_ids))]
 
     @cached_property
     def events(self) -> tuple[UsageEvent, ...]:
@@ -245,25 +258,35 @@ class CatalogSnapshot:
 
 
 class _Column:
-    """An append-only, dictionary-encoded string column.
+    """An append-only, dictionary-encoded string column with a posting list per value.
 
     ``indices`` holds one entry per row: the position in ``values``, the
-    distinct strings in order of first appearance. Iterating decodes the rows.
+    distinct strings in order of first appearance, which ``index`` maps back.
+    ``postings[i]`` lists the rows holding ``values[i]`` in ascending order, up to
+    the last row :meth:`cover` saw. Iterating decodes the rows.
     """
 
-    __slots__ = ("indices", "values", "_index")
+    __slots__ = ("indices", "values", "index", "postings")
 
     def __init__(self):
         self.indices = array("i")
         self.values: list[str] = []
-        self._index: dict[str, int] = {}
+        self.index: dict[str, int] = {}
+        self.postings: list[array] = []
 
     def append(self, value: str) -> None:
-        index = self._index.get(value)
+        index = self.index.get(value)
         if index is None:
-            index = self._index[value] = len(self.values)
+            index = self.index[value] = len(self.values)
             self.values.append(value)
         self.indices.append(index)
+
+    def cover(self, start: int) -> None:
+        """Add each row from ``start``, the first row in no posting, to its value's posting."""
+        postings = self.postings
+        postings += [array("i") for _ in range(len(self.values) - len(postings))]
+        for row, index in enumerate(self.indices[start:], start):
+            postings[index].append(row)
 
     def __iter__(self) -> Iterator[str]:
         return map(self.values.__getitem__, self.indices)
@@ -294,6 +317,7 @@ class CatalogStore:
         self._event_contexts = _Column()
         self._event_users = _Column()
         self._event_use_types = _Column()
+        self._event_days = _Column()  # each event's UTC day label, filled by ``snapshot``
         self._users: dict[str, UserProfile] = {}
         self._contexts: dict[str, ContextEntry] = _static_context_table()
         self._next_event_id = 1
@@ -413,6 +437,14 @@ class CatalogStore:
         """The current state; the same object is returned until the next write."""
         with self._lock:
             if self._snapshot is None:
+                days = self._event_days
+                start = len(days.indices)  # each column's postings hold the rows up to here
+                for seconds in islice(self._event_seconds, start, None):
+                    days.append(_day_label(seconds // 86400))  # floors before 1970 too
+                columns = {"document": self._event_codes, "context": self._event_contexts,
+                           "user": self._event_users, "time": days}
+                for column in columns.values():
+                    column.cover(start)
                 self._snapshot = CatalogSnapshot(
                     record_by_code=_Records(dict(self._records.lines), dict(self._records.decoded)),
                     users=tuple(self._users[k] for k in sorted(self._users)),
@@ -423,6 +455,7 @@ class CatalogStore:
                     event_contexts=tuple(self._event_contexts),
                     event_users=tuple(self._event_users),
                     event_use_types=tuple(self._event_use_types),
+                    columns=columns,
                 )
             return self._snapshot
 
@@ -556,22 +589,26 @@ _LINE_KEYS = {"source": {"kind", "source_id", "adapter", "location", "enabled", 
                   ("event", UsageEvent))}}
 
 
-def _no_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number")
+def _finite_float(text: str) -> float:
+    """A number's value; ``NaN``, ``Infinity`` and a number past the float range have none."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 #: The one encoder of the catalog's lines and the service's bodies, and the one
-#: decoder of outside JSON, which refuses ``NaN`` and ``Infinity`` as RFC 8259 does.
+#: decoder of outside JSON, which refuses the numbers RFC 8259 gives no value.
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-_DECODER = json.JSONDecoder(parse_constant=_no_constant)
+_DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
 
 
 def read_json(raw: bytes) -> object:
     """Parse ``raw``, JSON from outside the program, as UTF-8 text.
 
     Raises :class:`BadRequest` for bytes that are not UTF-8 and for text that is
-    not JSON, which includes ``NaN``, an integer over the interpreter's digit limit
-    and nesting past its recursion limit (RFC 8259 §9 lets a parser limit both).
+    not JSON, which includes ``NaN``, a number past the float range, an integer
+    over the interpreter's digit limit and nesting past its recursion limit
+    (RFC 8259 §9 lets a parser limit both).
     """
     try:
         text = raw.decode("utf-8")

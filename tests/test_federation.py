@@ -119,6 +119,19 @@ def test_register_checks_the_values_of_a_mapping_built_in_python(tmp_path, chang
         SourceRegistry().register(dataclasses.replace(descriptor, mapping=mapping))
 
 
+@pytest.mark.parametrize("change", [
+    {"presence_rules": ({"medium": "text", "field": "kind"},)},
+    {"field_rules": None},
+    {"mapping": None},
+], ids=["presence-rule-a-dict", "field-rules-none", "mapping-none"])
+def test_register_refuses_a_mapping_of_the_wrong_shape(tmp_path, change):
+    descriptor = write_tabular_source(tmp_path / "books.tsv", count=1)
+    if "mapping" not in change:
+        change = {"mapping": dataclasses.replace(descriptor.mapping, **change)}
+    with pytest.raises(InvalidMapping, match="must be a"):
+        SourceRegistry().register(dataclasses.replace(descriptor, **change))
+
+
 def test_register_refuses_a_source_id_that_is_not_a_string(tmp_path):
     descriptor = write_tabular_source(tmp_path / "books.tsv", count=1)
     with pytest.raises(MalformedCode, match="source_id 5 must match"):

@@ -354,6 +354,8 @@ REFUSED_JSON = {
     "long-integer": b'{"kind":"event","event_id":' + b"9" * 5000 + b"}",
     "not-utf8": b'{"kind":"\xe9"}',
     "nan": json.dumps({**USAGE, "note": float("nan")}).encode(),
+    # A number past the float range, which a plain parse reads as infinity.
+    "float-overflow": json.dumps(USAGE).encode()[:-1] + b',"note":1.5e400}',
 }
 
 
