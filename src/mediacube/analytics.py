@@ -49,8 +49,9 @@ class InvalidGranularity(MediaCubeError):
 class DimensionFilter:
     """A partial fixing of the four dimensions.
 
-    ``time`` is either an exact UTC day or a half-open instant range
-    ``(start, end)``.
+    ``time`` is either an exact UTC day, a ``date`` that is not a ``datetime``,
+    or a half-open instant range ``(start, end)`` of two datetimes; any
+    other value raises :class:`InvalidTimeRange`.
     """
 
     document: DocumentCode | None = None
@@ -59,10 +60,12 @@ class DimensionFilter:
     time: date | tuple[datetime, datetime] | None = None
 
     def __post_init__(self):
-        if isinstance(self.time, tuple):
-            start, end = self.time
-            object.__setattr__(self, "time",
-                               (normalize_timestamp(start), normalize_timestamp(end)))
+        time = self.time
+        if (isinstance(time, tuple) and len(time) == 2
+                and all(isinstance(instant, datetime) for instant in time)):
+            object.__setattr__(self, "time", tuple(map(normalize_timestamp, time)))
+        elif time is not None and (not isinstance(time, date) or isinstance(time, datetime)):
+            raise InvalidTimeRange(f"time must be a date or a pair of datetimes, got {time!r}")
 
     def fixed_dimensions(self) -> tuple[str, ...]:
         return tuple(d for d in DIMENSIONS if getattr(self, d) is not None)
@@ -181,30 +184,28 @@ def _group(snapshot: CatalogSnapshot, fixed: DimensionFilter, keys: tuple[str, .
     """
     _check_granularity(granularity)
     _check_fixed(snapshot, fixed)
-    columns = {"document": snapshot.event_codes, "context": snapshot.event_contexts,
-               "user": snapshot.event_users, "time": snapshot.event_days,
-               "use_type": snapshot.event_use_types}
     wanted = {d: str(getattr(fixed, d)) for d in ("document", "context", "user")
               if getattr(fixed, d) is not None}
     if isinstance(fixed.time, date):
         wanted["time"] = fixed.time.isoformat()
 
-    rows: Sequence[int] = range(len(snapshot.event_ids))
-    # The rows of the shortest posting of a fixed value, each other fixed value tested on them.
-    postings = ((snapshot.event_rows(d, v), columns[d], v) for d, v in wanted.items())
-    for posting, column, value in sorted(postings, key=lambda posting: len(posting[0])):
-        rows = posting if isinstance(rows, range) else [i for i in rows if column[i] == value]
-    def pick(column):  # the column's values at ``rows``, in row order
+    rows: Sequence[int] = range(snapshot.rows)
+    def pick(name):  # column ``name``'s values at ``rows``, in row order
+        column = snapshot.column(name)
         return column if isinstance(rows, range) else map(column.__getitem__, rows)
+    # The rows of the shortest posting of a fixed value, each other fixed value tested on them.
+    postings = ((snapshot.event_rows(d, v), d, v) for d, v in wanted.items())
+    for posting, name, value in sorted(postings, key=lambda posting: len(posting[0])):
+        rows = posting if isinstance(rows, range) else [
+            i for i, held in zip(rows, pick(name)) if held == value]
     if isinstance(fixed.time, tuple):
         start, end = (instant.timestamp() for instant in fixed.time)  # exact: whole seconds
-        rows = [i for i in rows if start <= snapshot.event_seconds[i] < end]
+        rows = [i for i, seconds in zip(rows, pick("seconds")) if start <= seconds < end]
 
     label = itemgetter(slice(_LABEL_WIDTH[granularity]))  # day label -> bucket label
-    values = [map(label, pick(columns[k])) if k == "time" else pick(columns[k]) for k in keys]
+    values = [map(label, pick(k)) if k == "time" else pick(k) for k in keys]
     groups: dict[tuple[str, ...], list[int]] = {}
-    for key, event_id in zip(zip(*values) if values else repeat((), len(rows)),
-                             pick(snapshot.event_ids)):
+    for key, event_id in zip(zip(*values) if values else repeat((), len(rows)), pick("id")):
         members = groups.get(key)
         if members is None:
             groups[key] = [event_id]

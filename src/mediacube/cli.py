@@ -183,7 +183,7 @@ def _cmd_load(args) -> int:
     path = _catalog_path(args)
     store.save(path)
     snapshot = store.snapshot()
-    print(f"loaded {len(snapshot.record_by_code)} records, {len(snapshot.event_ids)} events, "
+    print(f"loaded {len(snapshot.record_by_code)} records, {snapshot.rows} events, "
           f"{len(snapshot.users)} users, {len(snapshot.contexts)} contexts")
     return 0
 

@@ -226,7 +226,9 @@ def _schema_of(medium: str) -> dict[str, FieldSpec]:
 MEDIUM_FIELDS: dict[str, dict[str, FieldSpec]] = {m: _schema_of(m) for m in MEDIA}
 SCHEMA_FIELDS: dict[str, FieldSpec] = {
     f.path: f for fields in MEDIUM_FIELDS.values() for f in fields.values()}
-_REQUIRED = {m: [name for name, f in fs.items() if f.required] for m, fs in MEDIUM_FIELDS.items()}
+#: The one table of required fields: per medium, each field a descriptor must populate.
+REQUIRED_FIELDS: dict[str, tuple[FieldSpec, ...]] = {
+    m: tuple(f for f in fields.values() if f.required) for m, fields in MEDIUM_FIELDS.items()}
 #: Per medium, the kind of each field whose JSON value is not the value itself.
 _CONVERTED = {m: {name: f.kind for name, f in fields.items() if f.kind is not LABEL}
               for m, fields in MEDIUM_FIELDS.items()}
@@ -234,7 +236,7 @@ _CONVERTED = {m: {name: f.kind for name, f in fields.items() if f.kind is not LA
 
 def required_fields(medium: str) -> list[str]:
     """Dotted paths of the fields a descriptor of ``medium`` must populate."""
-    return [f.path for f in MEDIUM_FIELDS[medium].values() if f.required]
+    return [f.path for f in REQUIRED_FIELDS[medium]]
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +355,10 @@ def _check(media_class: MediaClass | None, descriptors: Mapping[str, object],
                                       f"object, got a {type(values).__name__!r} object"))
             continue
         fields = MEDIUM_FIELDS[medium]
-        for name in _REQUIRED[medium]:
-            if not (value := values.get(name)) and value in (None, "", ()):  # ``not``: cheap
-                path = fields[name].path
-                violations.append(Problem(path, "required-field", f"{path} is required"))
+        for spec in REQUIRED_FIELDS[medium]:
+            value = values.get(spec.attribute)
+            if not value and value in (None, "", ()):  # ``not``: cheap
+                violations.append(Problem(spec.path, "required-field", f"{spec.path} is required"))
         for name, value in values.items():
             if value is None:
                 continue

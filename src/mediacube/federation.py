@@ -36,10 +36,10 @@ from .descriptors import (
     CODES,
     DATE,
     MEDIA,
+    REQUIRED_FIELDS,
     GenericRecord,
     SCHEMA_FIELDS,
     make_descriptor,
-    required_fields,
     validate_record,
 )
 from .errors import MediaCubeError
@@ -227,9 +227,9 @@ def validate_mapping(mapping: FieldMapping) -> None:
             raise InvalidMapping(target)
     covered = {rule.target for rule in mapping.field_rules} | set(mapping.defaults)
     for medium in mapping.declared_media:
-        for path in _REQUIRED_PATHS[medium]:
-            if path not in covered:
-                raise InvalidMapping(f"{path} has neither a rule nor a default")
+        for spec in REQUIRED_FIELDS[medium]:
+            if spec.path not in covered:
+                raise InvalidMapping(f"{spec.path} has neither a rule nor a default")
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,6 @@ _TRANSFORMS = {
     "split-list": _split_list,
 }
 TRANSFORMS = tuple(_TRANSFORMS)
-_REQUIRED_PATHS = {medium: required_fields(medium) for medium in MEDIA}
 
 
 def map_to_generic(raw: SourceRecord, mapping: FieldMapping) -> GenericRecord:
@@ -323,9 +322,9 @@ def map_to_generic(raw: SourceRecord, mapping: FieldMapping) -> GenericRecord:
             values[spec.medium][spec.attribute] = value
 
     for medium in MEDIA:
-        for path in _REQUIRED_PATHS[medium] if present[medium] else ():
-            if path not in staged:
-                raise RequiredFieldMissing(path, f"required for {medium} and not mapped")
+        for spec in REQUIRED_FIELDS[medium] if present[medium] else ():
+            if spec.path not in staged:
+                raise RequiredFieldMissing(spec.path, f"required for {medium} and not mapped")
 
     record = GenericRecord(
         document_code=code,

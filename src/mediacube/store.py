@@ -10,10 +10,10 @@ yields byte-identical files.
 
 Each record is held as its canonical catalog line, the text ``save`` writes,
 and decoded into a :class:`GenericRecord` only when it is read. The event log
-is held as columns, not as :class:`UsageEvent` objects: event ids and UTC
-epoch seconds in ``array('q')``, and the code text, context, user and use
-type each dictionary-encoded in an ``array('i')``. ``snapshot`` fills a UTC day
-column and the postings (each value's rows) that let a query read only its rows.
+is one table of columns: event ids and UTC epoch seconds in ``array('q')``, the
+code text, context, user and use type each dictionary-encoded in an ``array('i')``.
+``snapshot`` fills a UTC day column and the postings (each value's rows) that let a
+query read only its rows, and hands out the table with its row count, copying none.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from datetime import date, datetime, timedelta, timezone
 from functools import cached_property, lru_cache
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .codes import DocumentCode, parse_document_code
 from .descriptors import (DATE, MEDIUM_FIELDS, GenericRecord, check_record_dict, record_from_dict,
@@ -46,6 +46,8 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _SECOND = timedelta(seconds=1)
 #: A day's UTC label (``YYYY-MM-DD``), the day counted from the epoch: one ``isoformat`` a day.
 _day_label = lru_cache(maxsize=1 << 16)(lambda day: _instant(day * 86400).date().isoformat())
+#: An event row's columns in ``_append`` order; the table's ``time`` is derived from ``seconds``.
+_EVENT_COLUMNS = ("id", "seconds", "document", "context", "user", "use_type")
 
 
 class RecordInvalid(MediaCubeError):
@@ -194,55 +196,66 @@ class _Records(Mapping):
         return len(self.lines)
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class CatalogSnapshot:
     """An immutable, internally consistent view handed to analytics.
 
     ``record_by_code`` decodes a record on first read, and ``records`` all of
-    them. The events come as columns, all in event order: the event id, the
-    UTC epoch seconds, the canonical document-code text, the context, the user
-    and the use type. Analytics groups over these columns; ``events`` is built from them
-    on first read. ``columns`` are the store's code, context, user and day columns, which
-    later snapshots extend; ``event_days`` and :meth:`event_rows` stop at its row count.
+    them. ``columns`` is the store's event table, which later writes extend; :meth:`column`
+    reads its first ``rows`` rows: ``id``, ``seconds`` (UTC epoch), ``document`` (code text),
+    ``context``, ``user``, ``use_type`` and ``time`` (UTC day), as ``event_*`` and ``events`` do.
+    Equality compares the record lines, users, contexts and columns other than ``time``.
     """
 
     record_by_code: Mapping[str, GenericRecord]
     users: tuple[UserProfile, ...]
     contexts: tuple[ContextEntry, ...]
-    event_ids: array
-    event_seconds: array
-    event_codes: tuple[str, ...]
-    event_contexts: tuple[str, ...]
-    event_users: tuple[str, ...]
-    event_use_types: tuple[str, ...]
-    columns: Mapping[str, _Column] = field(compare=False, repr=False)
+    columns: Mapping[str, array | _Column] = field(repr=False)
+    rows: int
+    decoded: dict[str, Sequence] = field(init=False, default_factory=dict, repr=False)
 
-    # Derived from the value fields; excluded from equality.
-    user_by_id: Mapping[str, UserProfile] = field(init=False, compare=False, repr=False)
-    context_labels: frozenset[str] = field(init=False, compare=False, repr=False)
+    # Derived from the value fields.
+    user_by_id: Mapping[str, UserProfile] = field(init=False, repr=False)
+    context_labels: frozenset[str] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "user_by_id", {u.user_id: u for u in self.users})
         object.__setattr__(self, "context_labels",
                            frozenset(c.label for c in self.contexts))
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CatalogSnapshot) and (
+            (self.record_by_code, self.users, self.contexts)
+            == (other.record_by_code, other.users, other.contexts)) and all(
+            self.column(name) == other.column(name) for name in _EVENT_COLUMNS)
+
     @cached_property
     def records(self) -> tuple[GenericRecord, ...]:
         """Every record, in code order."""
         return tuple(map(self.record_by_code.__getitem__, sorted(self.record_by_code)))
 
-    @cached_property
-    def event_days(self) -> tuple[str, ...]:
-        """Each event's UTC day label (``YYYY-MM-DD``), decoded from the day column."""
-        days = self.columns["time"]
-        return tuple(map(days.values.__getitem__, islice(days.indices, len(self.event_ids))))
+    def column(self, name: str) -> Sequence:
+        """Column ``name`` cut (an array) or decoded (a ``_Column``) to ``rows`` rows; kept."""
+        if (values := self.decoded.get(name)) is None:
+            column = self.columns[name]
+            values = self.decoded.setdefault(name, column[:self.rows] if isinstance(column, array)
+                                             else tuple(islice(column, self.rows)))
+        return values
+
+    event_ids = property(lambda self: self.column("id"))
+    event_seconds = property(lambda self: self.column("seconds"))
+    event_codes = property(lambda self: self.column("document"))
+    event_contexts = property(lambda self: self.column("context"))
+    event_users = property(lambda self: self.column("user"))
+    event_use_types = property(lambda self: self.column("use_type"))
+    event_days = property(lambda self: self.column("time"))
 
     def event_rows(self, dimension: str, value: str) -> array:
         """The rows, ascending, whose ``dimension`` (a key of ``columns``) holds ``value``."""
         column = self.columns[dimension]
         index = column.index.get(value, -1)  # a value first seen later may have no posting yet
         posting = column.postings[index] if 0 <= index < len(column.postings) else array("i")
-        return posting[:bisect_left(posting, len(self.event_ids))]
+        return posting[:bisect_left(posting, self.rows)]
 
     @cached_property
     def events(self) -> tuple[UsageEvent, ...]:
@@ -253,8 +266,7 @@ class CatalogSnapshot:
             UsageEvent(event_id=event_id, document_code=codes[code], context=context,
                        user_id=user_id, timestamp=_instant(seconds), use_type=use_type)
             for event_id, seconds, code, context, user_id, use_type in zip(
-                self.event_ids, self.event_seconds, self.event_codes, self.event_contexts,
-                self.event_users, self.event_use_types))
+                *map(self.column, _EVENT_COLUMNS)))
 
 
 class _Column:
@@ -310,14 +322,11 @@ class CatalogStore:
     def __init__(self):
         self._lock = threading.RLock()
         self._records = _Records({}, {})
-        # The event log: one row per event across these append-only columns.
-        self._event_ids = array("q")
-        self._event_seconds = array("q")
-        self._event_codes = _Column()
-        self._event_contexts = _Column()
-        self._event_users = _Column()
-        self._event_use_types = _Column()
-        self._event_days = _Column()  # each event's UTC day label, filled by ``snapshot``
+        # The event log: one row per event across these append-only columns, named as
+        # ``CatalogSnapshot.column`` reads them; ``snapshot`` fills the day labels of ``time``.
+        self._events = {"id": array("q"), "seconds": array("q"), "document": _Column(),
+                        "context": _Column(), "user": _Column(), "use_type": _Column(),
+                        "time": _Column()}
         self._users: dict[str, UserProfile] = {}
         self._contexts: dict[str, ContextEntry] = _static_context_table()
         self._next_event_id = 1
@@ -418,12 +427,13 @@ class CatalogStore:
         if context not in self._contexts:
             self._contexts[context] = ContextEntry(
                 label=context, origin="dynamic", first_seen=_instant(seconds))
-        self._event_ids.append(event_id)
-        self._event_seconds.append(seconds)
-        self._event_codes.append(code)
-        self._event_contexts.append(context)
-        self._event_users.append(user_id)
-        self._event_use_types.append(use_type)
+        events = self._events
+        events["id"].append(event_id)
+        events["seconds"].append(seconds)
+        events["document"].append(code)
+        events["context"].append(context)
+        events["user"].append(user_id)
+        events["use_type"].append(use_type)
         self._next_event_id = event_id + 1
         self._snapshot = None
 
@@ -437,25 +447,17 @@ class CatalogStore:
         """The current state; the same object is returned until the next write."""
         with self._lock:
             if self._snapshot is None:
-                days = self._event_days
+                events, days = self._events, self._events["time"]
                 start = len(days.indices)  # each column's postings hold the rows up to here
-                for seconds in islice(self._event_seconds, start, None):
+                for seconds in islice(events["seconds"], start, None):
                     days.append(_day_label(seconds // 86400))  # floors before 1970 too
-                columns = {"document": self._event_codes, "context": self._event_contexts,
-                           "user": self._event_users, "time": days}
-                for column in columns.values():
-                    column.cover(start)
+                for name in ("document", "context", "user", "time"):
+                    events[name].cover(start)
                 self._snapshot = CatalogSnapshot(
                     record_by_code=_Records(dict(self._records.lines), dict(self._records.decoded)),
                     users=tuple(self._users[k] for k in sorted(self._users)),
                     contexts=tuple(self.list_contexts()),
-                    event_ids=array("q", self._event_ids),
-                    event_seconds=array("q", self._event_seconds),
-                    event_codes=tuple(self._event_codes),
-                    event_contexts=tuple(self._event_contexts),
-                    event_users=tuple(self._event_users),
-                    event_use_types=tuple(self._event_use_types),
-                    columns=columns,
+                    columns=events, rows=len(events["id"]),
                 )
             return self._snapshot
 
@@ -480,8 +482,7 @@ class CatalogStore:
                                          first_seen=_instant(row[1])))
         for entry in sorted(contexts, key=_context_order):
             yield _dump_line({"kind": "context", **context_to_dict(entry)})
-        rows = chain(zip(self._event_ids, self._event_seconds, self._event_codes,
-                         self._event_contexts, self._event_users, self._event_use_types),
+        rows = chain(zip(*map(self._events.__getitem__, _EVENT_COLUMNS)),
                      [row] if row is not None else ())
         for event_id, seconds, code, context, user_id, use_type in rows:
             yield _dump_line({
@@ -608,16 +609,22 @@ def read_json(raw: bytes) -> object:
     Raises :class:`BadRequest` for bytes that are not UTF-8 and for text that is
     not JSON, which includes ``NaN``, a number past the float range, an integer
     over the interpreter's digit limit and nesting past its recursion limit
-    (RFC 8259 §9 lets a parser limit both).
+    (RFC 8259 §9 lets a parser limit both), and for a key or string that holds
+    a lone surrogate, which no UTF-8 text can (RFC 8259 §8.2).
     """
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise BadRequest(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
     try:
-        return _DECODER.decode(text)
+        data = _DECODER.decode(text)
+        if "\\u" in text:  # only a ``\u`` escape can bring in a lone surrogate
+            _ENCODER.encode(data).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise BadRequest(f"not valid Unicode: lone surrogate {exc.object[exc.start]!r}") from None
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
         raise BadRequest(f"not valid JSON: {exc}") from None
+    return data
 
 
 def _dump_line(obj: dict) -> str:
@@ -657,7 +664,7 @@ def _write_catalog(path: str | Path, lines: Iterable[str]) -> None:
     try:
         temp.write_text("".join(lines), encoding="utf-8")
         os.replace(temp, path)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # text a lone surrogate keeps from UTF-8
         with suppress(OSError):
             temp.unlink()
         raise StorageIO(f"cannot write {path}: {exc}") from exc

@@ -118,6 +118,17 @@ def test_invalid_time_range_rejected(five_event_store):
                    CubeQuery(fixed=DimensionFilter(time=(instant, instant))))
 
 
+@pytest.mark.parametrize("time", [
+    "2024-01-01",
+    5,
+    datetime(2024, 1, 1, 9, tzinfo=timezone.utc),  # a datetime is a date, but not a day
+    (date(2024, 1, 1), date(2024, 1, 2)),
+], ids=["text", "number", "datetime", "pair-of-dates"])
+def test_a_filter_time_that_is_neither_a_day_nor_a_range_is_refused(time):
+    with pytest.raises(InvalidTimeRange, match="time must be a date or a pair of datetimes"):
+        DimensionFilter(time=time)
+
+
 def test_invalid_granularity_rejected(five_event_store):
     with pytest.raises(InvalidGranularity):
         cube_query(five_event_store.snapshot(), CubeQuery(time_granularity="week"))

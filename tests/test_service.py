@@ -356,6 +356,8 @@ REFUSED_JSON = {
     "nan": json.dumps({**USAGE, "note": float("nan")}).encode(),
     # A number past the float range, which a plain parse reads as infinity.
     "float-overflow": json.dumps(USAGE).encode()[:-1] + b',"note":1.5e400}',
+    # Valid JSON, but the escape names half a surrogate pair, which no UTF-8 text holds.
+    "lone-surrogate": json.dumps({**USAGE, "context": "\ud800"}).encode(),
 }
 
 

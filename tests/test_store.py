@@ -650,6 +650,18 @@ def test_a_save_over_a_directory_fails_and_leaves_no_temporary_file(tmp_path, mo
     assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
 
 
+def test_a_save_of_text_that_is_not_unicode_fails_and_leaves_the_old_file(tmp_path):
+    path = tmp_path / "catalog.jsonl"
+    make_five_event_store().save(path)
+    before = path.read_bytes()
+    store = make_five_event_store()
+    store.register_user(UserProfile(user_id="u3", name="Ida \udc80"))  # a lone surrogate
+    with pytest.raises(StorageIO, match="surrogate"):
+        store.save(path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 # -- records held as their catalog lines ------------------------------------------
 
 
