@@ -17,11 +17,13 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .codes import DocumentCode, MalformedCode, parse_document_code
 from .errors import BadRequest, MediaCubeError
 from .store import (
+    DAY_PATTERN,
+    INSTANT_PATTERN,
     CatalogSnapshot,
     UnknownContext,
     UnknownDocument,
@@ -74,10 +76,11 @@ class DimensionFilter:
 def parse_filter(fields: Mapping[str, str]) -> DimensionFilter:
     """Build a filter from the text of ``doc``, ``context``, ``user`` and ``time``.
 
-    The one parser of filter input, shared by the CLI and the HTTP service.
-    A time is a day or a half-open instant range (:data:`TIME_GRAMMAR`). An
-    unknown name, an empty value, a malformed time or a doc code that does
-    not parse raises :class:`BadRequest`.
+    The one parser of filter input; :func:`parse_query` calls it for the CLI and
+    the HTTP service. A time is a day (``store.DAY_PATTERN``) or a half-open range
+    of two instants (``store.INSTANT_PATTERN``), each matched in full. An unknown
+    name, an empty value, other time text (:data:`TIME_GRAMMAR`), a day or instant
+    that does not exist, or a doc code that does not parse raises :class:`BadRequest`.
     """
     fixed: dict[str, object] = {}
     for name, text in fields.items():
@@ -91,12 +94,14 @@ def parse_filter(fields: Mapping[str, str]) -> DimensionFilter:
             except MalformedCode as exc:
                 raise BadRequest(f"doc: {exc}") from None
         elif name == "time":
-            start_text, sep, end_text = text.partition("/")
+            instants = text.split("/")
             try:
-                if sep:
-                    fixed["time"] = (parse_timestamp(start_text), parse_timestamp(end_text))
-                else:
+                if DAY_PATTERN.fullmatch(text):
                     fixed["time"] = date.fromisoformat(text)
+                elif len(instants) == 2 and all(map(INSTANT_PATTERN.fullmatch, instants)):
+                    fixed["time"] = tuple(map(parse_timestamp, instants))
+                else:
+                    raise ValueError(text)
             except ValueError:
                 raise BadRequest(f"time expects {TIME_GRAMMAR}, got {text!r}") from None
         else:
@@ -108,6 +113,19 @@ def parse_filter(fields: Mapping[str, str]) -> DimensionFilter:
 class CubeQuery:
     fixed: DimensionFilter = DimensionFilter()
     time_granularity: str = "day"
+
+
+def parse_query(pairs: Iterable[tuple[str, str]]) -> CubeQuery:
+    """The one parser of a cube request, from its ``(name, text)`` pairs as a front end
+    receives them. A name given twice raises :class:`BadRequest`; ``granularity``
+    defaults to ``day``, and the other names go to :func:`parse_filter`."""
+    fields: dict[str, str] = {}
+    for name, text in pairs:
+        if name in fields:
+            raise BadRequest(f"{name} is given more than once")
+        fields[name] = text
+    granularity = fields.pop("granularity", "day")
+    return CubeQuery(fixed=parse_filter(fields), time_granularity=granularity)
 
 
 @dataclass(frozen=True, slots=True)

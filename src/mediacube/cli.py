@@ -25,17 +25,6 @@ from .store import (USE_TYPES, CatalogStore, StorageIO, UserProfile, format_time
 CATALOG_ENV = "MEDIACUBE_CATALOG"
 
 
-def _parse_fixes(pairs: list[str] | None) -> dict[str, str]:
-    """Split ``--fix DIM=VALUE`` pairs; ``analytics.parse_filter`` checks them."""
-    fixes: dict[str, str] = {}
-    for pair in pairs or []:
-        dim, _, value = pair.partition("=")
-        if dim in fixes:
-            raise BadRequest(f"--fix {dim} given twice")
-        fixes[dim] = value
-    return fixes
-
-
 def _catalog_path(args: argparse.Namespace) -> Path:
     path = args.catalog or os.environ.get(CATALOG_ENV)
     if not path:
@@ -136,10 +125,8 @@ def _cmd_contexts(args) -> int:
 
 def _cmd_cube(args) -> int:
     store, _ = _open_store(args)
-    query = analytics.CubeQuery(
-        fixed=analytics.parse_filter(_parse_fixes(args.fix)),
-        time_granularity=args.granularity,
-    )
+    fixes = [fix.partition("=")[::2] for fix in args.fix or ()]
+    query = analytics.parse_query([*fixes, ("granularity", args.granularity)])
     result = analytics.cube_query(store.snapshot(), query)
     sys.stdout.write(result.to_tsv())
     return 0
@@ -246,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--doc", required=True, help="document code")
     p.add_argument("--context", required=True)
     p.add_argument("--user", required=True)
-    p.add_argument("--time", help="UTC instant like 2024-01-01T09:00:00Z, default now")
+    p.add_argument("--time", help="UTC instant, only YYYY-MM-DDThh:mm:ssZ; default now")
     p.add_argument("--type", required=True, choices=USE_TYPES)
     p.set_defaults(func=_cmd_usage_log)
 
@@ -257,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix", action="append", metavar="DIM=VALUE",
                    help=f"fix a dimension; DIM is one of {', '.join(analytics.FILTER_NAMES)}; "
                         f"time values use {analytics.TIME_GRAMMAR}")
-    p.add_argument("--granularity", default="day", choices=analytics.GRANULARITIES)
+    p.add_argument("--granularity", default="day",
+                   help=f"one of {', '.join(analytics.GRANULARITIES)}")
     p.set_defaults(func=_cmd_cube)
 
     p = sub.add_parser("report", help="run a derived usage report")

@@ -285,8 +285,11 @@ def _is_kind(kind: FieldKind, value: object) -> bool:
 
 
 def _is_json_kind(kind: FieldKind, value: object) -> bool:
-    """Whether ``value`` is a ``json_type`` that decodes to a value of ``kind``."""
+    """Whether ``value`` is a ``json_type`` that decodes to a value of ``kind``;
+    each code of a code list is checked, and no ``DocumentCode`` is built."""
     try:
+        if kind is CODES:
+            return type(value) is list and all(check_document_code(c) is None for c in value)
         return type(value) is kind.json_type and _is_kind(
             kind, value if kind.decode is None else kind.decode(value))
     except (ValueError, MalformedCode):

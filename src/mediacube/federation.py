@@ -51,6 +51,13 @@ if TYPE_CHECKING:
 REMOTE_TIMEOUT = 10.0
 #: Remote-line GETs kept in flight during a harvest.
 GET_WINDOW = 64
+#: What one remote-line connection, for a harvest or a resolve, may send: the bytes
+#: of a reply line (its newline included), the lines of a reply, the bytes of every
+#: reply. Each is at least 50 times the benchmark's largest source (33-byte lines,
+#: 2,001-line replies, 317 kB a harvest); a breach is :class:`SourceUnreachable`.
+REMOTE_LINE_BYTES = 64 * 1024
+REMOTE_REPLY_LINES = 100_000
+REMOTE_HARVEST_BYTES = 64 * 1024 * 1024
 
 
 class DuplicateSource(MediaCubeError):
@@ -148,7 +155,7 @@ class SourceDescriptor:
     """Registration of one federated source plus its field mapping."""
 
     source_id: str
-    kind: str
+    kind: str = field(metadata={"json": "adapter"})
     location: str
     mapping: FieldMapping
     enabled: bool = True
@@ -425,6 +432,7 @@ class _LineClient:
         except OSError as exc:
             raise SourceUnreachable(f"cannot connect to {host}:{port}: {exc}") from exc
         self._reader = self._sock.makefile("rb")
+        self._unread = REMOTE_HARVEST_BYTES  # bytes this connection may still send
 
     def send(self, *commands: str) -> None:
         """Send ``commands`` without waiting; :meth:`reply` reads their replies in order."""
@@ -437,7 +445,8 @@ class _LineClient:
         """Read the next reply: its lines up to the blank line, left for the caller to decode.
 
         An ``ERR <msg>`` reply is a single line with no blank terminator,
-        so the stream stays aligned for the next reply.
+        so the stream stays aligned for the next reply. A reply past a
+        ``REMOTE_*`` cap raises :class:`SourceUnreachable` naming the cap.
         """
         lines: list[bytes] = []
         try:
@@ -448,14 +457,21 @@ class _LineClient:
             if quickack is not None:
                 self._sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
             while True:
-                line = self._reader.readline()
+                line = self._reader.readline(REMOTE_LINE_BYTES)
+                self._unread -= len(line)
                 if not line:
                     raise SourceUnreachable("connection closed mid-reply")
+                if len(line) == REMOTE_LINE_BYTES and line[-1:] != b"\n":
+                    raise SourceUnreachable(f"a reply line is over {REMOTE_LINE_BYTES} bytes")
+                if self._unread < 0:
+                    raise SourceUnreachable(f"replies are over {REMOTE_HARVEST_BYTES} bytes")
                 line = line.rstrip(b"\n")
                 if not line:
                     return lines
                 if not lines and line.startswith(b"ERR "):
                     raise _RemoteFailure(line[4:].decode("utf-8", "replace"))
+                if len(lines) == REMOTE_REPLY_LINES:
+                    raise SourceUnreachable(f"a reply is over {REMOTE_REPLY_LINES} lines")
                 lines.append(line)
         except OSError as exc:
             raise SourceUnreachable(f"remote endpoint failed: {exc}") from exc
@@ -693,10 +709,7 @@ def source_record_to_dict(raw: SourceRecord) -> dict:
 
 
 def source_from_dict(data: Mapping) -> SourceDescriptor:
-    return SourceDescriptor(
-        source_id=data["source_id"],
-        kind=data["adapter"],
-        location=data["location"],
-        mapping=mapping_from_dict(data.get("mapping", {})),
-        enabled=data.get("enabled", True),
-    )
+    """Build a source from its JSON form; :class:`InvalidMapping` names a missing or
+    unknown key. Its values are left to ``SourceRegistry.register``."""
+    values = _fields_from_json(SourceDescriptor, data, "a source")
+    return SourceDescriptor(**{**values, "mapping": mapping_from_dict(values["mapping"])})

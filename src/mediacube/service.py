@@ -109,13 +109,7 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         return 200, list(map(context_to_dict, self.server.store.list_contexts()))
 
     def _get_cube(self, query_text: str):
-        pairs = parse_qsl(query_text, keep_blank_values=True)
-        fields = dict(pairs)
-        if len(fields) != len(pairs):
-            raise BadRequest("a query parameter is given more than once")
-        granularity = fields.pop("granularity", "day")
-        query = analytics.CubeQuery(fixed=analytics.parse_filter(fields),
-                                    time_granularity=granularity)
+        query = analytics.parse_query(parse_qsl(query_text, keep_blank_values=True))
         result = analytics.cube_query(self.server.store.snapshot(), query)
         return 200, {
             "pattern": result.pattern,

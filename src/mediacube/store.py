@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import threading
 from array import array
 from bisect import bisect_left
@@ -36,7 +37,7 @@ from .codes import DocumentCode, parse_document_code
 from .descriptors import (DATE, MEDIUM_FIELDS, GenericRecord, check_record_dict, record_from_dict,
                           record_to_dict, validate_record)
 from .errors import BadRequest, MediaCubeError
-from .federation import SourceRegistry, source_from_dict, source_to_dict
+from .federation import SourceDescriptor, SourceRegistry, source_from_dict, source_to_dict
 
 USE_TYPES = ("repetitive", "occasional")
 STATIC_CONTEXTS = ("teaching", "learning", "documentation", "entertainment")
@@ -109,6 +110,12 @@ def parse_timestamp(text: str) -> datetime:
     return normalize_timestamp(datetime.fromisoformat(text.replace("Z", "+00:00")))
 
 
+#: The request grammar of a UTC day and of a UTC instant to the second, in ASCII digits:
+#: ``parse_filter`` and ``parse_usage_event`` hold their input to it, ``load`` does not.
+DAY_PATTERN = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+INSTANT_PATTERN = re.compile(DAY_PATTERN.pattern + r"T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+
+
 def _instant(seconds: int) -> datetime:
     """The UTC instant ``seconds`` after the Unix epoch; works before 1970 too."""
     return _EPOCH + timedelta(seconds=seconds)
@@ -133,8 +140,9 @@ def parse_usage_event(fields: Mapping[str, object]) -> UsageEvent:
     """Build an unrecorded event from its text fields; ``timestamp`` defaults to now.
 
     The one parser of usage input, shared by ``usage-log`` and ``POST /usage``.
-    A missing or non-string field or a malformed timestamp raises
-    :class:`BadRequest`; a code that does not parse raises ``MalformedCode``.
+    A missing or non-string field, or a timestamp that is not an instant matched
+    in full by :data:`INSTANT_PATTERN`, raises :class:`BadRequest`; a code that
+    does not parse raises ``MalformedCode``.
     """
     for name in ("document_code", "context", "user_id", "use_type"):
         if name not in fields:
@@ -144,6 +152,8 @@ def parse_usage_event(fields: Mapping[str, object]) -> UsageEvent:
             raise BadRequest(f"field {name} must be a string, got {fields[name]!r}")
     text = fields.get("timestamp")
     try:
+        if text is not None and not INSTANT_PATTERN.fullmatch(text):
+            raise ValueError(text)
         timestamp = utc_now() if text is None else parse_timestamp(text)
     except ValueError:
         raise BadRequest(
@@ -536,7 +546,7 @@ class CatalogStore:
         if len(data) > len(keys) or kind != "event" and not data.keys() <= keys:
             raise ValueError(f"unknown {kind} key: {', '.join(sorted(data.keys() - keys))}")
         if kind == "source":
-            self.sources.register(source_from_dict(data))
+            self.sources.register(source_from_dict({k: v for k, v in data.items() if k != "kind"}))
         elif kind == "record":
             check_record_dict(data).refuse(data.get("document_code"), RecordInvalid)
             text = raw.decode("utf-8")  # as ``read_json`` did
@@ -582,12 +592,12 @@ def context_to_dict(entry: ContextEntry) -> dict:
             "first_seen": format_timestamp(entry.first_seen)}
 
 
-#: The keys each kind of catalog line may hold: a source line's are spelled out,
-#: as ``adapter`` names no field, and the others are their dataclass's fields.
-_LINE_KEYS = {"source": {"kind", "source_id", "adapter", "location", "enabled", "mapping"},
-              **{kind: {"kind", *(f.name for f in dataclass_fields(cls))} for kind, cls in (
-                  ("record", GenericRecord), ("user", UserProfile), ("context", ContextEntry),
-                  ("event", UsageEvent))}}
+#: The keys each kind of catalog line may hold: its dataclass's fields, each by its
+#: ``json`` metadata or name (a source's ``kind`` is written ``adapter``).
+_LINE_KEYS = {kind: {"kind", *(f.metadata.get("json", f.name) for f in dataclass_fields(cls))}
+              for kind, cls in (("source", SourceDescriptor), ("record", GenericRecord),
+                                ("user", UserProfile), ("context", ContextEntry),
+                                ("event", UsageEvent))}
 
 
 def _finite_float(text: str) -> float:

@@ -16,6 +16,7 @@ from mediacube.analytics import (
     cube_query,
     document_importance,
     parse_filter,
+    parse_query,
     pattern_id,
     time_bucket,
     usage_evolution,
@@ -310,7 +311,21 @@ def test_parse_filter_builds_every_dimension():
     ({"time": "2024-13-01"}, "YYYY-MM-DD"),
     ({"time": "2024-01-01T00:00:00Z/"}, "YYYY-MM-DD"),
     ({"doc": "NoSeparatorNoScheme"}, "doc:"),
+    ({"time": "2024-W01-1"}, "YYYY-MM-DD"),
+    ({"time": "20240101"}, "YYYY-MM-DD"),
+    ({"time": "2024-01-01/2024-01-02"}, "YYYY-MM-DD"),
+    ({"time": "2024-01-01T00:00:00+00:00/2024-01-02T00:00:00Z"}, "YYYY-MM-DD"),
+    ({"time": "2024-01-0\u0661"}, "YYYY-MM-DD"),  # ARABIC-INDIC DIGIT ONE
 ])
 def test_parse_filter_rejects_bad_input(fields, message):
     with pytest.raises(BadRequest, match=message):
         parse_filter(fields)
+
+
+def test_parse_query_reads_granularity_and_refuses_a_repeated_name():
+    assert parse_query([]) == CubeQuery()
+    assert parse_query([("user", "u1"), ("granularity", "month")]) == CubeQuery(
+        fixed=DimensionFilter(user="u1"), time_granularity="month")
+    for pairs in ([("user", "u1"), ("user", "u1")], [("granularity", "day")] * 2):
+        with pytest.raises(BadRequest, match="given more than once"):
+            parse_query(pairs)

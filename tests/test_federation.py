@@ -8,7 +8,8 @@ import socketserver
 import statistics
 import threading
 import time
-from contextlib import contextmanager
+import tracemalloc
+from contextlib import contextmanager, suppress
 from datetime import date
 from pathlib import Path
 
@@ -508,6 +509,68 @@ def test_pipelined_remote_harvest_does_not_wait_on_a_delayed_ack():
             elapsed.append(time.perf_counter() - started)
     assert len(result.records) == 40
     assert statistics.median(elapsed) < 0.020, f"harvests took {elapsed}"
+
+
+# -- bounded remote-line replies --------------------------------------------------
+
+
+@contextmanager
+def streaming_endpoint(chunk: bytes, most: int):
+    """An endpoint for one connection that answers its first request with ``chunk``
+    over and over, until the client hangs up or ``most`` bytes are sent."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5.0)
+
+    def stream():
+        with suppress(OSError), listener.accept()[0] as conn:
+            conn.settimeout(5.0)
+            conn.recv(64)
+            for _ in range(most // len(chunk)):
+                conn.sendall(chunk)
+
+    thread = threading.Thread(target=stream, daemon=True)
+    thread.start()
+    host, port = listener.getsockname()[:2]
+    try:
+        yield f"{host}:{port}"
+    finally:
+        thread.join(timeout=5.0)
+        listener.close()
+
+
+@pytest.mark.parametrize("chunk, bound, breach", [
+    # One endless line: the capped line and its copy while ``readline`` joins it,
+    # with room for the imports a first connection makes.
+    (b"x" * 4096, 8 * federation.REMOTE_LINE_BYTES,
+     f"a reply line is over {federation.REMOTE_LINE_BYTES} bytes"),
+    # Endless short lines with no blank terminator: at most the capped count
+    # of two-byte lines, each a bytes object and a list slot under 64 bytes.
+    (b"ab\n" * 1024, 64 * federation.REMOTE_REPLY_LINES,
+     f"a reply is over {federation.REMOTE_REPLY_LINES} lines"),
+], ids=["endless-line", "endless-short-lines"])
+def test_an_endless_remote_reply_is_unreachable_within_a_memory_bound(chunk, bound, breach):
+    # The endpoint stops at four times the bound, so a reader without the cap
+    # fails the memory bound here rather than growing without end.
+    with streaming_endpoint(chunk, most=4 * bound) as endpoint:
+        registry = registry_with(remote_source(endpoint))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SourceUnreachable, match=breach):
+                registry.harvest("radio")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < bound, f"peak {peak} bytes"
+
+
+def test_a_remote_harvest_past_its_byte_cap_is_unreachable(monkeypatch):
+    replies = {f"s{i:02d}": "artist\tA\nstype\tMUSIC\n\n" for i in range(20)}
+    with scripted_line_server(replies) as endpoint:
+        registry = registry_with(remote_source(endpoint))
+        assert len(registry.harvest("radio").records) == 20
+        monkeypatch.setattr(federation, "REMOTE_HARVEST_BYTES", 200)
+        with pytest.raises(SourceUnreachable, match="replies are over 200 bytes"):
+            registry.harvest("radio")
 
 
 # -- single-scan tabular resolve ---------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from catalog_fixtures import make_five_event_store, write_file_tree_source, write_tabular_source
 from mediacube.cli import main
+from mediacube.errors import ERROR_TABLE
 from mediacube.federation import ingest_source
 from mediacube.service import (
     MAX_BODY_BYTES,
@@ -311,6 +312,11 @@ def test_cube_endpoint_rejects_blank_and_repeated_values(served_catalog):
     ("user=u9", "UnknownUser"),
     ("context=fieldwork", "UnknownContext"),
     ("time=2024-01-02T00:00:00Z/2024-01-01T00:00:00Z", "InvalidTimeRange"),
+    ("time=2024-W01-1", "BadRequest"),
+    ("time=20240101", "BadRequest"),
+    ("time=2024-01-01/2024-01-02", "BadRequest"),
+    ("time=2024-01-01T00:00:00+00:00/2024-01-02T00:00:00Z", "BadRequest"),
+    ("time=2024-01-0\u0661", "BadRequest"),  # ARABIC-INDIC DIGIT ONE
 ])
 def test_cli_and_service_agree_on_bad_filters(served_catalog, capsys, fix, case):
     base, path = served_catalog
@@ -322,6 +328,36 @@ def test_cli_and_service_agree_on_bad_filters(served_catalog, capsys, fix, case)
     expected = {"BadRequest": (400, 2), "UnknownUser": (404, 1),
                 "UnknownContext": (404, 1), "InvalidTimeRange": (400, 1)}[case]
     assert (status, code) == expected
+
+
+@pytest.mark.parametrize("query, argv, case", [
+    ("user=u1&user=u2", ["--fix", "user=u1", "--fix", "user=u2"], "BadRequest"),
+    ("granularity=week", ["--granularity", "week"], "InvalidGranularity"),
+], ids=["repeated-name", "unknown-granularity"])
+def test_cli_and_service_refuse_a_cube_request_alike(served_catalog, capsys, query, argv, case):
+    base, path = served_catalog
+    status, body = get(base, f"/cube?{query}")
+    code = main(["--catalog", str(path), "cube", *argv])
+    err = capsys.readouterr().err
+    assert (body["error"], (status, code)) == (case, ERROR_TABLE[case])
+    assert err == f"{case}: {body['message']}\n"
+
+
+@pytest.mark.parametrize("timestamp", [
+    "2024-02-01", "2024-02-01T09:00:00+05:00", "2024-02-01T09:00:00.75Z",
+    "2024-02-01 09:00:00Z", "2024-02-01T09:00Z",
+], ids=["date-only", "offset", "fraction", "space", "no-seconds"])
+def test_cli_and_service_refuse_a_timestamp_outside_the_grammar(served_catalog, capsys,
+                                                                timestamp):
+    base, path = served_catalog
+    before = path.read_bytes()
+    status, body = post(base, "/usage", {**USAGE, "context": "teaching", "timestamp": timestamp})
+    code = main(["--catalog", str(path), "usage-log", "--doc", "fx:d1", "--context", "teaching",
+                 "--user", "u1", "--type", "occasional", "--time", timestamp])
+    err = capsys.readouterr().err
+    assert (status, body["error"], code) == (400, "BadRequest", 2)
+    assert err == f"BadRequest: {body['message']}\n"
+    assert path.read_bytes() == before
 
 
 def test_post_short_body_times_out_with_408(served_catalog, monkeypatch):

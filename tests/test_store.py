@@ -301,6 +301,24 @@ def test_load_refuses_a_source_line_the_registry_would_refuse(tmp_path, name, va
     assert reason in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["source_id", "adapter", "location", "mapping", "enabled"])
+def test_load_names_the_key_a_source_line_lacks(tmp_path, key):
+    store = CatalogStore()
+    descriptor = write_tabular_source(tmp_path / "books.tsv", count=3)
+    store.sources.register(descriptor)
+    path = tmp_path / "catalog.jsonl"
+    store.save(path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    source = json.loads(lines[0])
+    del source[key]
+    path.write_text(json.dumps(source) + "\n" + "".join(lines[1:]), encoding="utf-8")
+    if key == "enabled":  # the one key with a default: a source is enabled
+        assert CatalogStore.load(path).sources.get("lib") == descriptor
+        return
+    with pytest.raises(CorruptCatalog, match=f"^line 1: a source has no '{key}' key$"):
+        CatalogStore.load(path)
+
+
 def test_catalog_file_section_ordering(tmp_path):
     import json
 
