@@ -15,8 +15,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from itertools import repeat
-from operator import itemgetter
+from itertools import chain, compress, pairwise, repeat
+from operator import ne
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .codes import DocumentCode, MalformedCode, parse_document_code
@@ -128,8 +128,7 @@ def parse_query(pairs: Iterable[tuple[str, str]]) -> CubeQuery:
     return CubeQuery(fixed=parse_filter(fields), time_granularity=granularity)
 
 
-@dataclass(frozen=True, slots=True)
-class CubeCell:
+class CubeCell(NamedTuple):
     """One group: free-dimension values, its count, and the contributing events."""
 
     key: tuple[str, ...]
@@ -167,14 +166,14 @@ def pattern_id(query: CubeQuery) -> int:
 _LABEL_WIDTH = {"day": 10, "month": 7, "year": 4}
 
 
-def _check_granularity(granularity: str) -> None:
+def check_granularity(granularity: str) -> None:
     if granularity not in GRANULARITIES:
         raise InvalidGranularity(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
 
 
 def time_bucket(timestamp: datetime, granularity: str) -> str:
     """Bucket label of a UTC instant at day, month, or year granularity."""
-    _check_granularity(granularity)
+    check_granularity(granularity)
     label = timestamp.astimezone(timezone.utc).date().isoformat()
     return label[:_LABEL_WIDTH[granularity]]
 
@@ -192,15 +191,15 @@ def _check_fixed(snapshot: CatalogSnapshot, fixed: DimensionFilter) -> None:
             raise InvalidTimeRange(f"empty time range [{start}, {end})")
 
 
-def _group(snapshot: CatalogSnapshot, fixed: DimensionFilter, keys: tuple[str, ...],
-           granularity: str = "day") -> Iterator[tuple[tuple[str, ...], list[int]]]:
-    """Ids of the events matching ``fixed``, grouped by ``keys``, sorted by key.
+def _select(snapshot: CatalogSnapshot, fixed: DimensionFilter, keys: tuple[str, ...],
+            granularity: str = "day") -> tuple[Iterator[tuple[str, ...]], Sequence[int]]:
+    """The key tuples and the rows of the events matching ``fixed``, both in row order.
 
-    ``keys`` names snapshot columns: the four dimensions and ``use_type``.
-    A time key is the day label cut to ``granularity``. Empty groups are
-    omitted; each group lists its event ids in event order.
+    ``keys`` names snapshot columns: the four dimensions and ``use_type``. A time key is
+    the day label cut to ``granularity``. The rows are those of the shortest posting of a
+    fixed value that hold the other fixed values and fall in the time range.
     """
-    _check_granularity(granularity)
+    check_granularity(granularity)
     _check_fixed(snapshot, fixed)
     wanted = {d: str(getattr(fixed, d)) for d in ("document", "context", "user")
               if getattr(fixed, d) is not None}
@@ -211,7 +210,6 @@ def _group(snapshot: CatalogSnapshot, fixed: DimensionFilter, keys: tuple[str, .
     def pick(name):  # column ``name``'s values at ``rows``, in row order
         column = snapshot.column(name)
         return column if isinstance(rows, range) else map(column.__getitem__, rows)
-    # The rows of the shortest posting of a fixed value, each other fixed value tested on them.
     postings = ((snapshot.event_rows(d, v), d, v) for d, v in wanted.items())
     for posting, name, value in sorted(postings, key=lambda posting: len(posting[0])):
         rows = posting if isinstance(rows, range) else [
@@ -220,34 +218,36 @@ def _group(snapshot: CatalogSnapshot, fixed: DimensionFilter, keys: tuple[str, .
         start, end = (instant.timestamp() for instant in fixed.time)  # exact: whole seconds
         rows = [i for i, seconds in zip(rows, pick("seconds")) if start <= seconds < end]
 
-    label = itemgetter(slice(_LABEL_WIDTH[granularity]))  # day label -> bucket label
-    values = [map(label, pick(k)) if k == "time" else pick(k) for k in keys]
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for key, event_id in zip(zip(*values) if values else repeat((), len(rows)), pick("id")):
-        members = groups.get(key)
-        if members is None:
-            groups[key] = [event_id]
-        else:
-            members.append(event_id)
-    # Popping frees each list as soon as the caller has consumed it.
-    return ((key, groups.pop(key)) for key in sorted(groups))
+    width = _LABEL_WIDTH[granularity]
+    def buckets(days):  # day labels cut to their buckets, each distinct day once
+        return map({day: day[:width] for day in set(days)}.__getitem__, days)
+    values = [buckets(list(pick(k))) if k == "time" and granularity != "day" else pick(k)
+              for k in keys]
+    return zip(*values) if values else repeat((), len(rows)), rows
 
 
 def cube_query(snapshot: CatalogSnapshot, query: CubeQuery) -> CubeResult:
     """Group the events matching the fixed dimensions by the free ones.
 
-    Equivalent to filtering the event list and counting per group; empty
-    groups are omitted, cells come sorted by key, and each cell retains
-    the contributing event ids.
+    Equivalent to filtering the event list and counting per group; empty groups are
+    omitted, cells come sorted by key, and each cell retains the contributing event ids
+    in event order: one stable sort of the matching rows by key, sliced where it changes.
     """
     free = tuple(d for d in DIMENSIONS if d not in query.fixed.fixed_dimensions())
-    cells = tuple(CubeCell(key, len(ids), tuple(ids))
-                  for key, ids in _group(snapshot, query.fixed, free, query.time_granularity))
+    keys, rows = _select(snapshot, query.fixed, free, query.time_granularity)
+    keys = list(keys)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ids = tuple(map(snapshot.column("id").__getitem__, map(rows.__getitem__, order)))
+    keys = list(map(keys.__getitem__, order))
+    del order  # before the cells are built: it is as long as the matching rows
+    starts = compress(range(len(keys)), map(ne, keys, chain([None], keys)))  # key changes
+    cells = tuple(CubeCell(keys[start], end - start, ids[start:end])
+                  for start, end in pairwise(chain(starts, [len(keys)])))
     return CubeResult(
         pattern=pattern_id(query),
         free_dimensions=free,
         cells=cells,
-        total=sum(cell.count for cell in cells),
+        total=len(ids),
     )
 
 
@@ -268,7 +268,7 @@ class UseTypeCounts(NamedTuple):
 
 def _counts(snapshot: CatalogSnapshot, keys: tuple[str, ...],
             fixed: DimensionFilter = DimensionFilter(), granularity: str = "day"):
-    return [(key, len(ids)) for key, ids in _group(snapshot, fixed, keys, granularity)]
+    return sorted(Counter(_select(snapshot, fixed, keys, granularity)[0]).items())
 
 
 def document_importance(snapshot: CatalogSnapshot) -> list[tuple[str, int]]:

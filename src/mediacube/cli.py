@@ -134,6 +134,7 @@ def _cmd_cube(args) -> int:
 
 def _cmd_report(args) -> int:
     store, _ = _open_store(args)
+    analytics.check_granularity(args.granularity)
     snapshot = store.snapshot()
     if args.name == "importance":
         for code, count in analytics.document_importance(snapshot):
@@ -252,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=["importance", "interest", "evolution",
                                     "type-ratio", "social-class"])
     p.add_argument("--user", help="user id (report interest)")
-    p.add_argument("--granularity", default="day", choices=analytics.GRANULARITIES)
+    p.add_argument("--granularity", default="day",
+                   help=f"one of {', '.join(analytics.GRANULARITIES)} (report evolution)")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("save", help="write the catalog's canonical form to a path")

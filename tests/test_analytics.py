@@ -329,3 +329,44 @@ def test_parse_query_reads_granularity_and_refuses_a_repeated_name():
     for pairs in ([("user", "u1"), ("user", "u1")], [("granularity", "day")] * 2):
         with pytest.raises(BadRequest, match="given more than once"):
             parse_query(pairs)
+
+
+# -- the sort-once cell engine -------------------------------------------------
+
+
+@pytest.mark.parametrize("granularity", ["month", "year"])
+def test_cell_event_ids_ascend_when_timestamps_run_against_id_order(five_event_store,
+                                                                     granularity):
+    # Later ids get earlier instants, so a cell spanning several days holds them backwards in time.
+    for day in ("2025-03-28", "2025-03-20", "2025-03-09", "2025-03-01"):
+        five_event_store.record_usage(UsageEvent(
+            document_code=parse_document_code("fx:d2"), context="teaching", user_id="u1",
+            timestamp=datetime.fromisoformat(day).replace(tzinfo=timezone.utc),
+            use_type="occasional"))
+    snapshot = five_event_store.snapshot()
+    for fixed in (DimensionFilter(), DimensionFilter(context="teaching"),
+                  DimensionFilter(document=parse_document_code("fx:d2"))):
+        cells = cube_query(snapshot, CubeQuery(fixed, granularity)).cells
+        assert all(list(c.event_ids) == sorted(c.event_ids) for c in cells)
+        assert (6, 7, 8, 9) in {c.event_ids for c in cells}
+
+
+def test_pattern_16_gives_one_empty_keyed_cell_or_none(five_event_store):
+    snapshot = five_event_store.snapshot()
+    def query(context, day):
+        return cube_query(snapshot, CubeQuery(DimensionFilter(
+            document=parse_document_code("fx:d1"), context=context, user="u1", time=day)))
+    matching = query("teaching", date(2024, 1, 2))
+    assert (matching.pattern, matching.free_dimensions) == (16, ())
+    assert matching.cells == (((), 1, (4,)),) and matching.total == 1
+    for context, day in (("learning", date(2024, 1, 2)), ("teaching", date(2024, 1, 3))):
+        empty = query(context, day)
+        assert (empty.pattern, empty.cells, empty.total) == (16, (), 0)
+
+
+def test_a_cell_is_a_plain_tuple_of_key_count_and_ids(five_event_store):
+    cells = cube_query(five_event_store.snapshot(), CubeQuery()).cells
+    assert cells
+    for cell in cells:
+        assert cell == (cell.key, cell.count, cell.event_ids)
+        assert type(cell.event_ids) is tuple and cell.count == len(cell.event_ids)

@@ -204,6 +204,18 @@ def test_reports(five_event_catalog, capsys):
     assert out.splitlines() == ["student\tteaching\t3", "unspecified\tlearning\t2"]
 
 
+@pytest.mark.parametrize("name", ["importance", "interest", "evolution", "type-ratio",
+                                  "social-class"])
+def test_report_refuses_an_unknown_granularity_as_cube_does(five_event_catalog, capsys, name):
+    catalog = ["--catalog", str(five_event_catalog)]
+    cube = run(*catalog, "cube", "--granularity", "week", capsys=capsys)
+    report = run(*catalog, "report", name, "--user", "u1", "--granularity", "week",
+                 capsys=capsys)
+    assert report == cube
+    assert cube[0] == 1 and cube[2] == (
+        "InvalidGranularity: granularity must be one of ('day', 'month', 'year'), got 'week'\n")
+
+
 def test_serve_on_busy_port_fails_cleanly(five_event_catalog, capsys):
     import socket
     with socket.socket() as holder:

@@ -14,7 +14,8 @@ import pytest
 from catalog_fixtures import make_five_event_store, write_file_tree_source, write_tabular_source
 from mediacube.cli import main
 from mediacube.errors import ERROR_TABLE
-from mediacube.federation import ingest_source
+from mediacube.codes import parse_document_code
+from mediacube.federation import ingest_source, source_record_to_dict
 from mediacube.service import (
     MAX_BODY_BYTES,
     REQUEST_TIMEOUT_S,
@@ -253,6 +254,20 @@ def test_resolve_with_missing_source_file_is_bad_gateway(tmp_path):
     with serving(store, tmp_path / "catalog.jsonl") as base:
         status, body = get(base, "/resolve/lib:b001")
     assert (status, body["error"]) == (502, "SourceUnreachable")
+
+
+def test_cli_and_service_resolve_a_code_to_its_source_record(tmp_path, capsys):
+    catalog = tmp_path / "catalog.jsonl"
+    store = CatalogStore()
+    store.sources.register(write_tabular_source(tmp_path / "books.tsv", count=3))
+    ingest_source(store, "lib")
+    store.save(catalog)
+    expected = source_record_to_dict(store.sources.resolve(parse_document_code("lib:b002")))
+    assert expected["raw_fields"]["title"] == "Title 2"
+    code = main(["--catalog", str(catalog), "resolve", "lib:b002"])
+    assert (code, json.loads(capsys.readouterr().out)) == (0, expected)
+    with serving(CatalogStore.load(catalog), catalog) as base:
+        assert get(base, "/resolve/lib:b002") == (200, expected)
 
 
 @pytest.mark.parametrize("escape", ["relative", "absolute"])
