@@ -31,11 +31,12 @@ from datetime import date, datetime, timedelta, timezone
 from functools import cached_property, lru_cache
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .codes import DocumentCode, parse_document_code
-from .descriptors import (DATE, MEDIUM_FIELDS, GenericRecord, check_record_dict, record_from_dict,
-                          record_to_dict, validate_record)
+from .codes import DocumentCode, MalformedCode, check_document_code, parse_document_code
+from .descriptors import (BUILTIN_VOCABULARIES, CODES, DATE, LABEL, MEDIA, MEDIUM_FIELDS,
+                          REQUIRED_FIELDS, FieldSpec, GenericRecord, check_record_dict,
+                          record_from_dict, record_to_dict, validate_record)
 from .errors import BadRequest, MediaCubeError
 from .federation import SourceDescriptor, SourceRegistry, source_from_dict, source_to_dict
 
@@ -49,6 +50,7 @@ _SECOND = timedelta(seconds=1)
 _day_label = lru_cache(maxsize=1 << 16)(lambda day: _instant(day * 86400).date().isoformat())
 #: An event row's columns in ``_append`` order; the table's ``time`` is derived from ``seconds``.
 _EVENT_COLUMNS = ("id", "seconds", "document", "context", "user", "use_type")
+_LAST_EVENT_ID = 2**63 - 1  # the largest id the ``array('q')`` column holds
 
 
 class RecordInvalid(MediaCubeError):
@@ -417,8 +419,10 @@ class CatalogStore:
         """Check ``event`` and build its row: id, epoch seconds, code, context, user, use type."""
         code = str(event.document_code)
         self._check_event(code, event.context, event.user_id, event.use_type)
+        if (event_id := self._next_event_id) > _LAST_EVENT_ID:  # before anything is written
+            raise StorageIO(f"event id {event_id} is above the largest, {_LAST_EVENT_ID}")
         seconds = (normalize_timestamp(event.timestamp) - _EPOCH) // _SECOND
-        return self._next_event_id, seconds, code, event.context, event.user_id, event.use_type
+        return event_id, seconds, code, event.context, event.user_id, event.use_type
 
     def _check_event(self, code: str, context, user_id, use_type) -> None:
         """Refuse an event that ``record_usage`` or ``load`` must not admit."""
@@ -548,9 +552,9 @@ class CatalogStore:
         if kind == "source":
             self.sources.register(source_from_dict({k: v for k, v in data.items() if k != "kind"}))
         elif kind == "record":
-            check_record_dict(data).refuse(data.get("document_code"), RecordInvalid)
             text = raw.decode("utf-8")  # as ``read_json`` did
-            if not _is_canonical(text, data):  # re-encode the record, as ``put_record`` would
+            if not _admits(text, data):  # check the record, then re-encode it as ``put_record``
+                check_record_dict(data).refuse(data.get("document_code"), RecordInvalid)
                 text = _dump_line({"kind": "record", **record_to_dict(record_from_dict(data))})
             self._records.lines[data["document_code"]] = text
         elif kind == "user":
@@ -577,6 +581,8 @@ class CatalogStore:
             context, user_id, use_type = data["context"], data["user_id"], data["use_type"]
             if type(event_id) is not int:  # a bool is an int, but not an event id
                 raise ValueError(f"event id must be an integer, got {event_id!r}")
+            if event_id > _LAST_EVENT_ID:
+                raise ValueError(f"event id {event_id} is above the largest, {_LAST_EVENT_ID}")
             if event_id < self._next_event_id:
                 raise ValueError(f"event id {event_id} is not above {self._next_event_id - 1}")
             self._check_event(code, context, user_id, use_type)
@@ -641,29 +647,69 @@ def _dump_line(obj: dict) -> str:
     return _ENCODER.encode(obj) + "\n"
 
 
-_DATES = {m: [name for name, f in fs.items() if f.kind is DATE] for m, fs in MEDIUM_FIELDS.items()}
+_PLANS_KEPT = 256  # record shapes whose plans are kept: the most recently seen
+#: What a list item past the first adds to an encoded list of strings, besides its text.
+_ITEM = len(_ENCODER.encode(["", ""])) - len(_ENCODER.encode([""]))
 
 
-def _is_canonical(text: str, data: dict) -> bool:
-    """Whether ``text``, a line holding the checked record ``data``, is the line ``save``
-    writes for that record: keys sorted, no null or ``[]`` field, each date as ``isoformat``
-    writes it, and only as long as its strings and punctuation, so it holds no whitespace,
-    escape or repeated key, and ends in a newline."""
-    if list(data) != sorted(data):
+def _value_check(spec: FieldSpec) -> Callable[[object], bool]:
+    """Whether a value of ``spec`` passes ``check_record_dict`` and ``save`` writes it as it
+    is; it may raise TypeError, ValueError or MalformedCode instead of answering False."""
+    if spec.kind is DATE:
+        return lambda value: date.fromisoformat(value).isoformat() == value
+    if spec.kind is not LABEL:  # a list of labels or codes, which ``save`` never writes empty
+        item = ((lambda code: check_document_code(code) is None) if spec.kind is CODES
+                else lambda label: type(label) is str)
+        return lambda value: type(value) is list and value != [] and all(map(item, value))
+    subclass = spec.attribute.endswith("_feature_subclass")  # in the parent-child form
+    label = lambda value: type(value) is str and (value != "" or not spec.required) and (
+        not subclass or "-" in value or "." in value)
+    vocabulary = BUILTIN_VOCABULARIES.get(spec.vocabulary)
+    return (label if vocabulary is None or vocabulary.open  # else a set of the labels it allows
+            else frozenset(filter(label, vocabulary.members | {""})).__contains__)
+
+
+_VALUE_CHECKS = {m: {n: _value_check(f) for n, f in fs.items()} for m, fs in MEDIUM_FIELDS.items()}
+
+
+@lru_cache(maxsize=_PLANS_KEPT)
+def _record_plan(shape: tuple) -> tuple | None:
+    """The plan for record lines of ``shape``, their keys, class token and each medium's field
+    names: the length of the shape's skeleton line, each string in it empty and each list
+    ``[""]``, and each medium's value checks in key order; None where no line is admitted."""
+    keys, token, *field_names = shape
+    media = [m for m in MEDIA if m in keys]  # a class token joins the names of its media
+    if keys != tuple(sorted(keys)) or token != "-".join(media) or not media:
+        return None
+    skeleton, plans = {"document_code": "", "kind": "record", "media_class": token}, []
+    for medium, names in zip(media, field_names):
+        fields = MEDIUM_FIELDS[medium]
+        needed = {f.attribute for f in REQUIRED_FIELDS[medium]}.union(  # and sub-classes' features
+            n.removesuffix("_subclass") for n in names if n.endswith("_feature_subclass"))
+        if names != tuple(sorted(names)) or not needed <= set(names) <= fields.keys():
+            return None
+        skeleton[medium] = {n: "" if fields[n].kind.json_type is str else [""] for n in names}
+        plans.append((medium, tuple(map(_VALUE_CHECKS[medium].__getitem__, names))))
+    return len(_dump_line(skeleton)), tuple(plans)
+
+
+def _admits(text: str, data: dict) -> bool:
+    """Whether ``text``, a record line holding ``data``, passes ``check_record_dict`` and is the
+    line ``save`` writes: each value passes its check in its shape's plan, and the line is as
+    long as the skeleton with the values in, so it holds no whitespace, escape or repeated key."""
+    try:
+        size, media = _record_plan((tuple(data), data.get("media_class"),  # None: a TypeError
+                                    *[tuple(data[m].keys()) for m in MEDIA if m in data]))
+        check_document_code(code := data["document_code"])
+        size += len(code)
+        for medium, checks in media:
+            for check, value in zip(checks, data[medium].values()):
+                if not check(value):
+                    return False
+                size += (len(value) if type(value) is str
+                         else sum(map(len, value)) + _ITEM * (len(value) - 1))
+    except (AttributeError, KeyError, MalformedCode, TypeError, ValueError):  # e.g. no code
         return False
-    size = 2  # "{", "}" and the newline, less the comma the first entry does not need
-    for key, value in data.items():
-        if type(value) is str:
-            size += len(key) + len(value) + 6  # "key":"value",
-            continue
-        if list(value) != sorted(value) or None in value.values() or [] in value.values():
-            return False
-        size += len(key) + 5 + sum(map(len, value)) + 6 * len(value)  # "key":{} and "name":""
-        for item in value.values():  # a list: [], then "item" and a comma for each, less one
-            size += len(item) if type(item) is str else sum(map(len, item)) + 3 * len(item) - 1
-        for name in _DATES[key]:
-            if name in value and date.fromisoformat(value[name]).isoformat() != value[name]:
-                return False
     return len(text) == size and text[-1] == "\n"
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import mediacube.store
 from catalog_fixtures import make_five_event_store, write_tabular_source
 from catalog_fixtures import count_record_builds
 from mediacube.codes import DocumentCode, parse_document_code
@@ -438,6 +439,8 @@ LOAD_REJECTIONS = {
     "user-unknown-key": (_set(3, "socail_class", "worker"), 3, "unknown user key: socail_class"),
     "context-unknown-key": (_set(5, "bogus", 1), 5, "unknown context key: bogus"),
     "event-unknown-key": (_set(9, "bogus", 1), 9, "unknown event key: bogus"),
+    "event-id-past-64-bits": (_set(13, "event_id", 2**63), 13,
+                              "event id 9223372036854775808 is above the largest"),
 }
 
 
@@ -861,3 +864,171 @@ def test_put_record_refuses_an_empty_string_in_a_date_field(tmp_path):
             text=TextDescriptor(title="T", reference_date="")))
     store.save(tmp_path / "catalog.jsonl")
     assert CatalogStore.load(tmp_path / "catalog.jsonl").snapshot() == store.snapshot()
+
+
+# -- record lines admitted by a plan per shape --------------------------------------
+
+
+def _sets(line: int, *changes):
+    """A mutation applying each ``(path..., name, value)`` change to the object on ``line``."""
+    def mutate(objs):
+        for change in changes:
+            _set(line, *change)(objs)
+    return mutate
+
+
+_date_case = pytest.mark.skipif(sys.version_info < (3, 11),
+                                reason="date.fromisoformat is ISO-only from 3.11")
+
+# Cases a plan could get wrong, each on line 3 (fx:d3, a text-image record with a date,
+# labels, a related code and an image) of ``_varied_record_store``. ``None``: the line
+# loads; otherwise a part of the refusal's message.
+PLAN_CASES = {
+    "closed-vocabulary-miss": (_set(3, "image", "dominant_colour", "mauve"),
+                               "image.dominant_colour value 'mauve' not in colour vocabulary"),
+    "optional-closed-vocabulary-miss": (_set(3, "image", "secondary_colour", "mauve"),
+                                        "image.secondary_colour value 'mauve' not in colour"),
+    "empty-required-label": (_set(3, "image", "image_format", ""),
+                             "image.image_format is required"),
+    "empty-required-closed-label": (_set(3, "image", "dominant_colour", ""),
+                                    "image.dominant_colour is required"),
+    "empty-optional-closed-label": (_set(3, "image", "secondary_colour", ""), None),
+    "null-field": (_set(3, "text", "author", None), None),
+    "null-required-field": (_set(3, "text", "title", None), "text.title is required"),
+    "empty-list-field": (_set(3, "text", "descriptors", []), None),
+    "number-in-labels": (_set(3, "text", "descriptors", ["k1", 2]),
+                         "text.descriptors expects labels, got ['k1', 2]"),
+    "malformed-related-code": (_set(3, "text", "related_documents", ["nocolon"]),
+                               "text.related_documents expects codes, got ['nocolon']"),
+    "related-code-bad-escape": (_set(3, "text", "related_documents", ["fx:a\\b"]),
+                                "text.related_documents expects codes"),
+    "malformed-document-code": (_set(3, "document_code", "fx:a:b"), "unescaped ':' in local_id"),
+    "basic-format-date": pytest.param(_set(3, "text", "reference_date", "20240101"), None,
+                                      marks=_date_case),
+    "date-out-of-range": (_set(3, "text", "reference_date", "2024-02-30"),
+                          "text.reference_date expects date, got '2024-02-30'"),
+    "subclass-without-feature": (_set(3, "image", "dominant_feature_subclass", "animal-mammal"),
+                                 "dominant feature sub-class given without a dominant feature"),
+    "subclass-not-parent-child": (
+        _sets(3, ("image", "dominant_feature", "animal"),
+              ("image", "dominant_feature_subclass", "mammal")),
+        "sub-class labels use the parent-child form, got 'mammal'"),
+    "subclass-with-feature": (
+        _sets(3, ("image", "dominant_feature", "animal"),
+              ("image", "dominant_feature_subclass", "animal.mammal")), None),
+    "class-without-its-medium": (_set(3, "media_class", "text-image-sound"),
+                                 "sound descriptor implied by class but missing"),
+}
+
+
+def _load_outcome(path: Path, resaved: Path) -> tuple:
+    """``load`` of ``path``: the refused line and message, or the bytes a save then writes."""
+    try:
+        CatalogStore.load(path).save(resaved)
+    except CorruptCatalog as exc:
+        return exc.line_number, str(exc)
+    return resaved.read_bytes()
+
+
+def _replay_canonically(tmp_path, store: CatalogStore, mutate) -> tuple:
+    """The outcomes of loading ``store``'s catalog broken by ``mutate``, its lines written as
+    ``save`` writes them and, as no plan admits, with ``json.dumps``'s default separators."""
+    path = tmp_path / "catalog.jsonl"
+    store.save(path)
+    objs = [json.loads(text) for text in path.read_text(encoding="utf-8").splitlines()]
+    mutate(objs)
+    outcomes = []
+    for dump in (lambda obj: json.dumps(obj, sort_keys=True, ensure_ascii=False,
+                                        separators=(",", ":")), json.dumps):
+        path.write_text("".join(dump(obj) + "\n" for obj in objs), encoding="utf-8")
+        outcomes.append(_load_outcome(path, tmp_path / "resaved.jsonl"))
+    return tuple(outcomes)
+
+
+RECORD_REJECTIONS = {name: case for name, case in LOAD_REJECTIONS.items() if case[1] <= 2}
+
+
+@pytest.mark.parametrize("mutate, line, reason", RECORD_REJECTIONS.values(),
+                         ids=RECORD_REJECTIONS.keys())
+def test_load_refuses_a_canonical_record_line_as_it_refuses_any_other(tmp_path, mutate, line,
+                                                                    reason):
+    canonical, default = _replay_canonically(tmp_path, make_five_event_store(), mutate)
+    assert canonical == default
+    assert canonical[0] == line and reason in canonical[1]
+
+
+@pytest.mark.parametrize("mutate, reason", PLAN_CASES.values(), ids=PLAN_CASES.keys())
+def test_a_plan_admits_only_what_the_full_check_admits(tmp_path, mutate, reason):
+    canonical, default = _replay_canonically(tmp_path, _varied_record_store(), mutate)
+    assert canonical == default
+    if reason is None:
+        assert isinstance(canonical, bytes)
+    else:
+        assert canonical[0] == 3 and reason in canonical[1]
+
+
+def test_a_canonical_catalog_loads_without_the_full_record_check(tmp_path, monkeypatch):
+    path = tmp_path / "catalog.jsonl"
+    _varied_record_store().save(path)
+    checked = []
+    monkeypatch.setattr(mediacube.store, "check_record_dict", checked.append)
+    assert CatalogStore.load(path).snapshot() == _varied_record_store().snapshot()
+    assert checked == []
+
+
+_TEXT_OPTIONAL = {"author": "A", "summary": "S", "reference_date": date(2024, 1, 1),
+                  "descriptors": ("k1", "k2"),
+                  "related_documents": (DocumentCode.compound("fx", "d1"),)}
+_IMAGE_OPTIONAL = {"secondary_colour": "blue", "secondary_shape": "circle",
+                   "shape_specificity": "deformed", "dominant_object": "tool",
+                   "object_specificity": "deformed"}
+
+
+def _shaped_record(shape: int) -> GenericRecord:
+    """A text-image record whose optional fields are the set bits of ``shape`` (0-1023)."""
+    text = {name: value for bit, (name, value) in enumerate(_TEXT_OPTIONAL.items())
+            if shape >> bit & 1}
+    image = {name: value for bit, (name, value) in enumerate(_IMAGE_OPTIONAL.items(), 5)
+             if shape >> bit & 1}
+    return GenericRecord(
+        document_code=DocumentCode.compound("fx", f"s{shape:04d}"),
+        media_class=MediaClass.TEXT_IMAGE, text=TextDescriptor(title="T", **text),
+        image=ImageDescriptor(dominant_colour="red", dominant_shape="oval", image_format="png",
+                              image_medium="paper", image_type="sketch", **image))
+
+
+def test_a_catalog_of_more_shapes_than_plans_kept_loads_as_saved(tmp_path, monkeypatch):
+    store = CatalogStore()
+    for shape in range(1000):
+        store.put_record(_shaped_record(shape))
+    path, resaved = tmp_path / "catalog.jsonl", tmp_path / "resaved.jsonl"
+    store.save(path)
+    plans = mediacube.store._record_plan
+    plans.cache_clear()
+    checked = []
+    monkeypatch.setattr(mediacube.store, "check_record_dict", checked.append)
+    loaded = CatalogStore.load(path)
+    assert checked == []  # a line past the kept plans is admitted by a plan of its own
+    assert plans.cache_info().misses == 1000
+    assert plans.cache_info().currsize == plans.cache_info().maxsize == mediacube.store._PLANS_KEPT
+    assert loaded.snapshot() == store.snapshot()
+    loaded.save(resaved)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_a_usage_write_past_the_last_event_id_writes_nothing(tmp_path):
+    path = tmp_path / "catalog.jsonl"
+    make_five_event_store().save(path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[-1] = lines[-1].replace('"event_id":5,', f'"event_id":{2**63 - 1},')
+    path.write_text("".join(lines), encoding="utf-8")
+    before = path.read_bytes()
+    store = CatalogStore.load(path)
+    snapshot = store.snapshot()
+    for write in (lambda: store.record_usage_and_save(event(), path),
+                  lambda: store.record_usage(event())):
+        with pytest.raises(StorageIO, match="event id 9223372036854775808 is above the largest"):
+            write()
+    assert path.read_bytes() == before
+    assert store.snapshot() is snapshot
+    assert CatalogStore.load(path).snapshot() == snapshot
