@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from .errors import MediaCubeError
 
 SOURCE_ID_PATTERN = re.compile(r"^[a-z0-9_-]{1,32}$")
-#: A compound code whose local_id holds no ``:`` or ``\\``: a code with nothing more to check.
-_PLAIN_COMPOUND = re.compile(SOURCE_ID_PATTERN.pattern.strip("^$") + r":[^:\\]+")
 URI_SCHEMES = ("http://", "https://", "file://")
 
 
@@ -110,8 +108,7 @@ def parse_document_code(text: str) -> DocumentCode:
 
 def check_document_code(text: object) -> None:
     """Raise :class:`MalformedCode` where :func:`parse_document_code` would, building nothing."""
-    if type(text) is not str or not _PLAIN_COMPOUND.fullmatch(text):
-        _check_parts(*_split(text))
+    _check_parts(*_split(text))
 
 
 def _split(text: object) -> tuple[str | None, str | None, str | None]:

@@ -399,6 +399,46 @@ def _check(media_class: MediaClass | None, descriptors: Mapping[str, object],
     return ValidationReport(violations=tuple(violations), warnings=tuple(warnings))
 
 
+def _json_check(spec: FieldSpec) -> Callable[[object], bool]:
+    """Whether a JSON value of ``spec`` passes :func:`_check` and is written back as it is."""
+    if spec.kind is DATE:
+        return lambda value: date.fromisoformat(value).isoformat() == value
+    if spec.kind is not LABEL:  # a list of labels or codes, which is never written empty
+        item = ((lambda code: check_document_code(code) is None) if spec.kind is CODES
+                else lambda label: type(label) is str)
+        return lambda value: type(value) is list and value != [] and all(map(item, value))
+    subclass = spec.attribute.endswith("_feature_subclass")  # in the parent-child form
+    label = lambda value: type(value) is str and (value != "" or not spec.required) and (
+        not subclass or "-" in value or "." in value)
+    vocabulary = BUILTIN_VOCABULARIES.get(spec.vocabulary)
+    return (label if vocabulary is None or vocabulary.open  # else a set of the labels it allows
+            else frozenset(filter(label, vocabulary.members | {""})).__contains__)
+
+
+_JSON_CHECKS = {m: {n: _json_check(f) for n, f in fs.items()} for m, fs in MEDIUM_FIELDS.items()}
+
+
+def record_dict_plan(keys: tuple, token: object, *field_names: tuple) -> tuple | None:
+    """The plan for JSON records of top-level ``keys``, class ``token`` and each medium's
+    ``field_names``: the skeleton record, each string empty and each list ``[""]``, and each
+    medium's value checks, which may raise instead of answering False. A record passes
+    :func:`check_record_dict` and is written back as it is, bar other top-level keys, where
+    its code and each value pass; None where none does, or where names are not sorted."""
+    if not (media := [m for m in MEDIA if m in keys]) or token != "-".join(media) or any(
+            names != tuple(sorted(names)) for names in (keys, *field_names)):
+        return None
+    skeleton, checks = {"document_code": "", "media_class": token}, []
+    for medium, names in zip(media, field_names):
+        needed = {f.name for f in dataclasses.fields(_DESCRIPTOR_TYPES[medium])  # always written
+                  if f.default not in (None, ())}.union(  # and each sub-class's feature
+            n.removesuffix("_subclass") for n in names if n.endswith("_feature_subclass"))
+        if not needed <= set(names) <= (fields := MEDIUM_FIELDS[medium]).keys():
+            return None
+        skeleton[medium] = {n: "" if fields[n].kind.json_type is str else [""] for n in names}
+        checks.append((medium, tuple(map(_JSON_CHECKS[medium].__getitem__, names))))
+    return skeleton, tuple(checks)
+
+
 def attach_descriptor(record: GenericRecord, descriptor: Descriptor) -> GenericRecord:
     """Return a copy of ``record`` carrying ``descriptor``, class recomputed.
 

@@ -27,15 +27,14 @@ from array import array
 from bisect import bisect_left
 from contextlib import suppress
 from dataclasses import dataclass, field, fields as dataclass_fields
-from datetime import date, datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone
 from functools import cached_property, lru_cache
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .codes import DocumentCode, MalformedCode, check_document_code, parse_document_code
-from .descriptors import (BUILTIN_VOCABULARIES, CODES, DATE, LABEL, MEDIA, MEDIUM_FIELDS,
-                          REQUIRED_FIELDS, FieldSpec, GenericRecord, check_record_dict,
+from .descriptors import (MEDIA, GenericRecord, check_record_dict, record_dict_plan,
                           record_from_dict, record_to_dict, validate_record)
 from .errors import BadRequest, MediaCubeError
 from .federation import SourceDescriptor, SourceRegistry, source_from_dict, source_to_dict
@@ -648,55 +647,20 @@ def _dump_line(obj: dict) -> str:
 
 
 _PLANS_KEPT = 256  # record shapes whose plans are kept: the most recently seen
-#: What a list item past the first adds to an encoded list of strings, besides its text.
-_ITEM = len(_ENCODER.encode(["", ""])) - len(_ENCODER.encode([""]))
-
-
-def _value_check(spec: FieldSpec) -> Callable[[object], bool]:
-    """Whether a value of ``spec`` passes ``check_record_dict`` and ``save`` writes it as it
-    is; it may raise TypeError, ValueError or MalformedCode instead of answering False."""
-    if spec.kind is DATE:
-        return lambda value: date.fromisoformat(value).isoformat() == value
-    if spec.kind is not LABEL:  # a list of labels or codes, which ``save`` never writes empty
-        item = ((lambda code: check_document_code(code) is None) if spec.kind is CODES
-                else lambda label: type(label) is str)
-        return lambda value: type(value) is list and value != [] and all(map(item, value))
-    subclass = spec.attribute.endswith("_feature_subclass")  # in the parent-child form
-    label = lambda value: type(value) is str and (value != "" or not spec.required) and (
-        not subclass or "-" in value or "." in value)
-    vocabulary = BUILTIN_VOCABULARIES.get(spec.vocabulary)
-    return (label if vocabulary is None or vocabulary.open  # else a set of the labels it allows
-            else frozenset(filter(label, vocabulary.members | {""})).__contains__)
-
-
-_VALUE_CHECKS = {m: {n: _value_check(f) for n, f in fs.items()} for m, fs in MEDIUM_FIELDS.items()}
+_ITEM = len(_ENCODER.encode(["", ""])) - len(_ENCODER.encode([""]))  # a list item's comma, quotes
 
 
 @lru_cache(maxsize=_PLANS_KEPT)
 def _record_plan(shape: tuple) -> tuple | None:
-    """The plan for record lines of ``shape``, their keys, class token and each medium's field
-    names: the length of the shape's skeleton line, each string in it empty and each list
-    ``[""]``, and each medium's value checks in key order; None where no line is admitted."""
-    keys, token, *field_names = shape
-    media = [m for m in MEDIA if m in keys]  # a class token joins the names of its media
-    if keys != tuple(sorted(keys)) or token != "-".join(media) or not media:
-        return None
-    skeleton, plans = {"document_code": "", "kind": "record", "media_class": token}, []
-    for medium, names in zip(media, field_names):
-        fields = MEDIUM_FIELDS[medium]
-        needed = {f.attribute for f in REQUIRED_FIELDS[medium]}.union(  # and sub-classes' features
-            n.removesuffix("_subclass") for n in names if n.endswith("_feature_subclass"))
-        if names != tuple(sorted(names)) or not needed <= set(names) <= fields.keys():
-            return None
-        skeleton[medium] = {n: "" if fields[n].kind.json_type is str else [""] for n in names}
-        plans.append((medium, tuple(map(_VALUE_CHECKS[medium].__getitem__, names))))
-    return len(_dump_line(skeleton)), tuple(plans)
+    """The skeleton line's length and the checks of :func:`record_dict_plan` for ``shape``."""
+    if (plan := record_dict_plan(*shape)) is not None:
+        return len(_dump_line({"kind": "record", **plan[0]})), plan[1]
+    return None
 
 
 def _admits(text: str, data: dict) -> bool:
-    """Whether ``text``, a record line holding ``data``, passes ``check_record_dict`` and is the
-    line ``save`` writes: each value passes its check in its shape's plan, and the line is as
-    long as the skeleton with the values in, so it holds no whitespace, escape or repeated key."""
+    """Whether ``text``, a record line holding ``data``, passes ``check_record_dict`` and is as
+    long as its shape's skeleton with the values in: the line ``save`` writes for it."""
     try:
         size, media = _record_plan((tuple(data), data.get("media_class"),  # None: a TypeError
                                     *[tuple(data[m].keys()) for m in MEDIA if m in data]))

@@ -10,14 +10,16 @@ from datetime import date
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import mediacube.store
 from catalog_fixtures import make_five_event_store, write_tabular_source
 from catalog_fixtures import count_record_builds
 from mediacube.codes import DocumentCode, parse_document_code
 from mediacube.descriptors import GenericRecord, SoundDescriptor, TextDescriptor
-from mediacube.descriptors import ImageDescriptor
+from mediacube.descriptors import BUILTIN_VOCABULARIES, MEDIA, MEDIUM_FIELDS, ImageDescriptor
+from mediacube.descriptors import check_record_dict
+from mediacube.descriptors import record_from_dict, record_to_dict
 from mediacube.store import (
     CatalogStore,
     CorruptCatalog,
@@ -30,6 +32,7 @@ from mediacube.store import (
     UnknownUser,
     UsageEvent,
     UserProfile,
+    _dump_line,
     parse_timestamp,
 )
 from mediacube.taxonomy import MediaClass
@@ -974,6 +977,112 @@ def test_a_canonical_catalog_loads_without_the_full_record_check(tmp_path, monke
     monkeypatch.setattr(mediacube.store, "check_record_dict", checked.append)
     assert CatalogStore.load(path).snapshot() == _varied_record_store().snapshot()
     assert checked == []
+
+
+def test_load_writes_the_default_target_of_a_sound_line_without_one(tmp_path):
+    store = CatalogStore()
+    store.put_record(GenericRecord(document_code=DocumentCode.compound("fx", "s1"),
+                                   media_class=MediaClass.SOUND,
+                                   sound=SoundDescriptor(originator="O", sound_type="music")))
+    canonical, varied, resaved = (tmp_path / name for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
+    store.save(canonical)
+    text = canonical.read_text(encoding="utf-8")
+    varied.write_text(text.replace(',"target":"not-specified"', ""), encoding="utf-8")
+    assert varied.read_text(encoding="utf-8") != text
+    loaded = CatalogStore.load(varied)
+    loaded.save(resaved)
+    assert resaved.read_bytes() == canonical.read_bytes()
+    assert loaded.snapshot() == store.snapshot()
+
+
+# A differential of the plans against the full check: records built valid, broken by drawn
+# faults, and each written as ``save`` writes it and in forms it does not.
+
+#: Each field's value in a valid record, as ``record_to_dict`` writes it.
+_GOOD_JSON = {
+    "text": {"title": "T", "author": "Café", "summary": "S", "reference_date": "2024-01-01",
+             "descriptors": ["k1", "k2"], "related_documents": ["fx:d1", "fx:d2"]},
+    "image": {"dominant_colour": "red", "secondary_colour": "blue", "dominant_shape": "oval",
+              "secondary_shape": "circle", "shape_specificity": "deformed",
+              "dominant_object": "tool", "object_specificity": "at background",
+              "secondary_object": "gadget", "dominant_feature": "animal",
+              "secondary_feature": "water body", "dominant_feature_subclass": "animal-mammal",
+              "secondary_feature_subclass": "water.ocean", "image_format": "png",
+              "image_medium": "paper", "image_type": "sketch"},
+    "sound": {"originator": "O", "target": "public", "descriptors": ["k"],
+              "publication_date": "1999-12-31", "sound_type": "music",
+              "sound_class": "debate", "sound_subclass": "disorder"},
+}
+#: Per field kind or name, values that break a field or are not the form ``save`` writes.
+_ODD_JSON = {"label": ["", None, 1, 'q"uote', "é\u2028"], "closed": ["mauve", ""],
+             "date": ["20240101", "2024-02-30", "", None], "labels": [[], ["k", 1], "k", [""]],
+             "codes": [[], ["nocolon"], ["fx:a:b"], ["fx:a\\b"], "fx:d1"],
+             **dict.fromkeys(["dominant_feature_subclass", "secondary_feature_subclass"],
+                             ["mammal", "", "animal"])}
+#: The line ``save`` writes for a record, and lines that hold the same record otherwise.
+_DUMPS = (_dump_line, lambda obj: json.dumps(obj) + "\n", lambda obj: _compact(obj) + "\n",
+          lambda obj: _dump_line(obj)[:-1], lambda obj: _dump_line(obj).replace(":", ": ", 1),
+          lambda obj: _dump_line(obj).replace('"kind":"record"', '"kind":"record","kind":"record"'))
+_REQUIRED_JSON = {"title", "dominant_colour", "dominant_shape", "image_format", "image_medium",
+                  "image_type", "originator", "sound_type"}
+
+
+def _break(obj: dict, fault: str, at: int) -> None:
+    """Apply ``fault`` to the record ``obj``, to its part and with the value ``at`` picks."""
+    media = [m for m in MEDIA if type(obj.get(m)) is dict]
+    fields = [(medium, name) for medium in media for name in sorted(obj[medium])]
+    if fault == "value" and fields:  # a field of a group its odd values break, then a value
+        groups = {}
+        for medium, name in fields:
+            if (spec := MEDIUM_FIELDS[medium].get(name)) is not None:
+                closed = not getattr(BUILTIN_VOCABULARIES.get(spec.vocabulary), "open", True)
+                key = name if name in _ODD_JSON else "closed" if closed else spec.kind.name
+                groups.setdefault(key, []).append((medium, name))
+        key, group = sorted(groups.items())[at % len(groups)]
+        medium, name = group[at // 5 % len(group)]
+        obj[medium][name] = _ODD_JSON[key][at // 7 % len(_ODD_JSON[key])]
+    elif fault == "drop-field" and fields:
+        medium, name = fields[at % len(fields)]
+        del obj[medium][name]
+    elif fault == "bogus-field" and media:
+        obj[media[at % len(media)]]["bogus"] = "b"
+    elif fault == "extra-key":
+        obj["extra"] = "b"
+    elif fault in ("document_code", "media_class"):
+        obj[fault] = ["bad", "fx:a:b", "video", "text", None, 7][at % 6]
+    elif fault == "descriptor" and media:
+        obj[media[at % len(media)]] = ["D", [], None][at % 3]
+    elif fault == "drop-medium" and media:
+        del obj[media[at % len(media)]]
+    elif fault == "add-medium":
+        obj.setdefault("sound", {"originator": "O", "sound_type": "music", "target": "public"})
+
+
+@st.composite
+def _records(draw) -> dict:
+    """A record in JSON form, with its ``kind``: valid where no fault is drawn."""
+    media = draw(st.lists(st.sampled_from(MEDIA), min_size=1, max_size=3, unique=True))
+    media.sort(key=MEDIA.index)
+    obj = {"kind": "record", "document_code": "fx:d9", "media_class": "-".join(media)}
+    for medium in media:
+        obj[medium] = {name: value for name, value in _GOOD_JSON[medium].items()
+                       if name in _REQUIRED_JSON or draw(st.integers(0, 3))}
+    faults = st.sampled_from(["value"] * 6 + ["drop-field", "bogus-field", "extra-key",
+                                              "document_code", "media_class", "descriptor",
+                                              "drop-medium", "add-medium"])
+    for fault, at in draw(st.lists(st.tuples(faults, st.integers(0, 999)), max_size=2)):
+        _break(obj, fault, at)
+    return obj
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_records())
+def test_a_plan_admits_a_line_only_where_the_full_check_and_a_re_encode_keep_it(obj):
+    for text in {dump(obj) for dump in _DUMPS}:  # canonical, or not as ``save`` writes it
+        data = json.loads(text)
+        if mediacube.store._admits(text, data):
+            assert check_record_dict(data).ok
+            assert _dump_line({"kind": "record", **record_to_dict(record_from_dict(data))}) == text
 
 
 _TEXT_OPTIONAL = {"author": "A", "summary": "S", "reference_date": date(2024, 1, 1),
