@@ -20,7 +20,7 @@ from operator import ne
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .codes import DocumentCode, MalformedCode, parse_document_code
-from .errors import BadRequest, MediaCubeError
+from .errors import BadRequest, MediaCubeError, NotFound
 from .store import (
     DAY_PATTERN,
     INSTANT_PATTERN,
@@ -115,15 +115,21 @@ class CubeQuery:
     time_granularity: str = "day"
 
 
-def parse_query(pairs: Iterable[tuple[str, str]]) -> CubeQuery:
-    """The one parser of a cube request, from its ``(name, text)`` pairs as a front end
-    receives them. A name given twice raises :class:`BadRequest`; ``granularity``
-    defaults to ``day``, and the other names go to :func:`parse_filter`."""
+def _fields(pairs: Iterable[tuple[str, str]]) -> dict[str, str]:
+    """The ``(name, text)`` pairs of a request as a front end receives them, by name;
+    a name given twice raises :class:`BadRequest`."""
     fields: dict[str, str] = {}
     for name, text in pairs:
         if name in fields:
             raise BadRequest(f"{name} is given more than once")
         fields[name] = text
+    return fields
+
+
+def parse_query(pairs: Iterable[tuple[str, str]]) -> CubeQuery:
+    """The one parser of a cube request, from its ``(name, text)`` pairs (:func:`_fields`).
+    ``granularity`` defaults to ``day``, and the other names go to :func:`parse_filter`."""
+    fields = _fields(pairs)
     granularity = fields.pop("granularity", "day")
     return CubeQuery(fixed=parse_filter(fields), time_granularity=granularity)
 
@@ -307,3 +313,36 @@ def context_by_social_class(snapshot: CatalogSnapshot) -> dict[tuple[str, str], 
     for (user_id, context), n in _counts(snapshot, ("user", "context")):
         counts[(snapshot.user_by_id[user_id].social_class or "unspecified", context)] += n
     return dict(sorted(counts.items()))
+
+
+#: Report name -> its rows from ``(snapshot, user, granularity)``, each the fields of one
+#: CLI output line. Each report function is looked up when it runs, never at import.
+REPORTS = {
+    "importance": lambda snapshot, user, granularity: document_importance(snapshot),
+    "interest": lambda snapshot, user, granularity: [
+        (dimension, key, n) for dimension, counts in zip(("context", "document"),
+                                                         user_interest(snapshot, user))
+        for key, n in counts.items()],
+    "evolution": lambda snapshot, user, granularity: usage_evolution(snapshot, granularity),
+    "type-ratio": lambda snapshot, user, granularity: list(
+        zip(UseTypeCounts._fields, usage_type_ratio(snapshot))),
+    "social-class": lambda snapshot, user, granularity: [
+        (*key, n) for key, n in context_by_social_class(snapshot).items()],
+}
+
+
+def run_report(snapshot: CatalogSnapshot, name: str,
+               pairs: Iterable[tuple[str, str]]) -> list[tuple]:
+    """Rows of report ``name`` (:data:`REPORTS`) from the ``(name, text)`` pairs of a CLI or
+    HTTP request. Only ``user`` and ``granularity`` are taken, each once; ``interest`` needs
+    a non-empty ``user``, and every report checks ``granularity`` (default ``day``)."""
+    if name not in REPORTS:
+        raise NotFound(f"report must be one of {', '.join(REPORTS)}, got {name!r}")
+    fields = _fields(pairs)
+    user, granularity = fields.pop("user", None), fields.pop("granularity", "day")
+    if fields:
+        raise BadRequest(f"a report takes only user and granularity, got {min(fields)!r}")
+    check_granularity(granularity)
+    if name == "interest" and not user:
+        raise BadRequest("report interest needs a non-empty user")
+    return REPORTS[name](snapshot, user, granularity)

@@ -8,19 +8,14 @@ usage error, 1 for any other domain error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from . import analytics, service
-from .codes import parse_document_code
-from .descriptors import record_to_dict
 from .errors import BadRequest, MediaCubeError, exit_code
-from .federation import (ADAPTER_KINDS, SourceDescriptor, ingest_source, mapping_from_dict,
-                         source_record_to_dict)
-from .store import (USE_TYPES, CatalogStore, StorageIO, UserProfile, format_timestamp,
-                    parse_usage_event, read_json)
+from .federation import ADAPTER_KINDS, SourceDescriptor, ingest_source, mapping_from_dict
+from .store import USE_TYPES, CatalogStore, StorageIO, UserProfile, parse_usage_event, read_json
 
 CATALOG_ENV = "MEDIACUBE_CATALOG"
 
@@ -41,11 +36,18 @@ def _open_store(args: argparse.Namespace, create: bool = False) -> tuple[Catalog
     raise StorageIO(f"no catalog at {path}")
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)
-
-
 # -- command handlers --------------------------------------------------------
+
+
+def _cmd_read(args) -> int:
+    """Run the command's row of :data:`service.READS` and print its text."""
+    store, _ = _open_store(args)
+    read, flags = service.READS[args.command], vars(args)
+    pairs = [fix.partition("=")[::2] for fix in flags.get("fix") or ()]
+    pairs += [(flag, flags[flag]) for flag in ("user", "granularity")
+              if flags.get(flag) is not None]
+    sys.stdout.write(read.text(read.run(store, flags.get("name"), pairs)))
+    return 0
 
 
 def _cmd_source_register(args) -> int:
@@ -79,20 +81,6 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _cmd_record_get(args) -> int:
-    store, _ = _open_store(args)
-    record = store.get_record(parse_document_code(args.code))
-    print(_dump_json(record_to_dict(record)))
-    return 0
-
-
-def _cmd_resolve(args) -> int:
-    store, _ = _open_store(args)
-    raw = store.sources.resolve(parse_document_code(args.code))
-    print(_dump_json(source_record_to_dict(raw)))
-    return 0
-
-
 def _cmd_user_register(args) -> int:
     store, path = _open_store(args, create=True)
     store.register_user(UserProfile(
@@ -113,50 +101,6 @@ def _cmd_usage_log(args) -> int:
     if args.time is not None:
         fields["timestamp"] = args.time
     print(store.record_usage_and_save(parse_usage_event(fields), path))
-    return 0
-
-
-def _cmd_contexts(args) -> int:
-    store, _ = _open_store(args)
-    for entry in store.list_contexts():
-        print(f"{entry.label}\t{entry.origin}\t{format_timestamp(entry.first_seen)}")
-    return 0
-
-
-def _cmd_cube(args) -> int:
-    store, _ = _open_store(args)
-    fixes = [fix.partition("=")[::2] for fix in args.fix or ()]
-    query = analytics.parse_query([*fixes, ("granularity", args.granularity)])
-    result = analytics.cube_query(store.snapshot(), query)
-    sys.stdout.write(result.to_tsv())
-    return 0
-
-
-def _cmd_report(args) -> int:
-    store, _ = _open_store(args)
-    analytics.check_granularity(args.granularity)
-    snapshot = store.snapshot()
-    if args.name == "importance":
-        for code, count in analytics.document_importance(snapshot):
-            print(f"{code}\t{count}")
-    elif args.name == "interest":
-        if not args.user:
-            raise BadRequest("report interest requires --user")
-        interest = analytics.user_interest(snapshot, args.user)
-        for label, count in interest.contexts.items():
-            print(f"context\t{label}\t{count}")
-        for code, count in interest.documents.items():
-            print(f"document\t{code}\t{count}")
-    elif args.name == "evolution":
-        for bucket, count in analytics.usage_evolution(snapshot, args.granularity):
-            print(f"{bucket}\t{count}")
-    elif args.name == "type-ratio":
-        ratio = analytics.usage_type_ratio(snapshot)
-        print(f"repetitive\t{ratio.repetitive}")
-        print(f"occasional\t{ratio.occasional}")
-    else:  # social-class
-        for (social, context), count in analytics.context_by_social_class(snapshot).items():
-            print(f"{social}\t{context}\t{count}")
     return 0
 
 
@@ -216,12 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("record-get", help="print one generic record")
-    p.add_argument("code")
-    p.set_defaults(func=_cmd_record_get)
+    p.add_argument("name", metavar="code")
 
     p = sub.add_parser("resolve", help="fetch the full source record behind a code")
-    p.add_argument("code")
-    p.set_defaults(func=_cmd_resolve)
+    p.add_argument("name", metavar="code")
 
     p = sub.add_parser("user-register", help="register or update a user profile")
     p.add_argument("--user-id", required=True)
@@ -239,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_usage_log)
 
     p = sub.add_parser("contexts", help="list context registry entries")
-    p.set_defaults(func=_cmd_contexts)
 
     p = sub.add_parser("cube", help="run one cross-analysis cube query")
     p.add_argument("--fix", action="append", metavar="DIM=VALUE",
@@ -247,15 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
                         f"time values use {analytics.TIME_GRAMMAR}")
     p.add_argument("--granularity", default="day",
                    help=f"one of {', '.join(analytics.GRANULARITIES)}")
-    p.set_defaults(func=_cmd_cube)
 
     p = sub.add_parser("report", help="run a derived usage report")
-    p.add_argument("name", choices=["importance", "interest", "evolution",
-                                    "type-ratio", "social-class"])
+    p.add_argument("name", choices=analytics.REPORTS)
     p.add_argument("--user", help="user id (report interest)")
     p.add_argument("--granularity", default="day",
                    help=f"one of {', '.join(analytics.GRANULARITIES)} (report evolution)")
-    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("save", help="write the catalog's canonical form to a path")
     p.add_argument("--to", required=True)
@@ -276,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return (_cmd_read if args.command in service.READS else args.func)(args)
     except SystemExit as exc:  # argparse: usage error or --help
         return int(exc.code or 0)
     except MediaCubeError as exc:

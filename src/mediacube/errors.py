@@ -23,6 +23,10 @@ class BadRequest(MediaCubeError):
     """Malformed request or filter input from a CLI argument or an HTTP request."""
 
 
+class NotFound(MediaCubeError):
+    """A request for an endpoint or a report that does not exist."""
+
+
 #: Error case -> (HTTP status, CLI exit code). Exit code 2 marks a usage error.
 ERROR_TABLE: dict[str, tuple[int, int]] = {
     "BadRequest": (400, 2),
@@ -32,6 +36,7 @@ ERROR_TABLE: dict[str, tuple[int, int]] = {
     "InvalidMapping": (400, 1),
     "InvalidTimeRange": (400, 1),
     "InvalidGranularity": (400, 1),
+    "NotFound": (404, 1),
     "RecordNotFound": (404, 1),
     "UnknownSource": (404, 1),
     "NotFoundAtSource": (404, 1),

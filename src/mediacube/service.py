@@ -1,24 +1,27 @@
 """Minimal HTTP/1.1 query service over one catalog.
 
-Endpoints mirror the CLI: GET /records/{code}, GET /resolve/{code},
-GET /cube, GET /contexts, and POST /usage. Responses use the canonical
-JSON serialization. Every error is answered with a JSON body naming its
-case; the status comes from ``errors.ERROR_TABLE`` (500 for a case not in
-it), except that POST /usage answers 409 where a read would answer 404.
-Only POST /usage mutates the catalog.
+The reads are the rows of :data:`READS`, shared with the CLI: GET /records/{code},
+GET /resolve/{code}, GET /cube, GET /contexts and GET /report/{name}. POST /usage,
+the one write, is the only request that changes the catalog. Responses are canonical
+JSON. Every error is answered with a JSON body naming its case; the status comes from
+``errors.ERROR_TABLE`` (500 for a case not in it), except that POST /usage answers
+409 where a read would answer 404.
 """
 
 from __future__ import annotations
 
+import json
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Callable, NamedTuple
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from . import analytics
 from .codes import parse_document_code
 from .descriptors import record_to_dict
-from .errors import BadRequest, MediaCubeError, http_status
+from .errors import BadRequest, MediaCubeError, NotFound, http_status
 from .federation import source_record_to_dict
 from .store import _ENCODER, CatalogStore, context_to_dict, parse_usage_event, read_json
 
@@ -36,6 +39,60 @@ class RequestTimeout(MediaCubeError):
     """A request body that did not arrive within :data:`REQUEST_TIMEOUT_S`."""
 
 
+# -- the reads ----------------------------------------------------------------
+
+
+class Read(NamedTuple):
+    """One read: ``GET path`` (with a ``/{name}`` segment if ``named``) and a CLI command.
+
+    ``run(store, name, pairs)`` takes the ``(name, text)`` pairs of the query string or
+    the CLI's flags, and looks the analytics functions up when it runs. ``payload`` of
+    its result is the JSON body, ``text`` the CLI's output."""
+
+    path: str
+    named: bool
+    run: Callable[[CatalogStore, str | None, list[tuple[str, str]]], object]
+    payload: Callable[[object], object]
+    text: Callable[[object], str]
+
+
+def _json_text(payload: Callable) -> Callable[[object], str]:
+    return lambda result: json.dumps(payload(result), sort_keys=True, ensure_ascii=False,
+                                     indent=2) + "\n"
+
+
+def _lines(rows) -> str:
+    return "".join("\t".join(map(str, row)) + "\n" for row in rows)
+
+
+def _cube_payload(result: analytics.CubeResult) -> dict:
+    cells = [{"key": dict(zip(result.free_dimensions, cell.key)), "count": cell.count,
+              "event_ids": list(cell.event_ids)} for cell in result.cells]
+    return {"pattern": result.pattern, "free_dimensions": list(result.free_dimensions),
+            "cells": cells, "total": result.total}
+
+
+#: CLI read command -> its row.
+READS: dict[str, Read] = {
+    "record-get": Read("/records", True,
+                       lambda store, code, _: store.get_record(parse_document_code(code)),
+                       record_to_dict, _json_text(record_to_dict)),
+    "resolve": Read("/resolve", True,
+                    lambda store, code, _: store.sources.resolve(parse_document_code(code)),
+                    source_record_to_dict, _json_text(source_record_to_dict)),
+    "contexts": Read("/contexts", False, lambda store, *_: store.list_contexts(),
+                     lambda entries: list(map(context_to_dict, entries)),
+                     lambda entries: _lines(context_to_dict(e).values() for e in entries)),
+    "cube": Read("/cube", False, lambda store, _, pairs: analytics.cube_query(
+                     store.snapshot(), analytics.parse_query(pairs)),
+                 _cube_payload, analytics.CubeResult.to_tsv),
+    "report": Read("/report", True,
+                   lambda store, name, pairs: analytics.run_report(store.snapshot(), name, pairs),
+                   list, _lines),
+}
+_READ_AT = {read.path: read for read in READS.values()}
+
+
 class CatalogServer(ThreadingHTTPServer):
     """Threaded server owning the store; POSTs are serialized and persisted."""
 
@@ -46,10 +103,6 @@ class CatalogServer(ThreadingHTTPServer):
         self.catalog_path = Path(catalog_path)
         self.post_lock = threading.Lock()
         super().__init__(address, CatalogRequestHandler)
-
-
-def _no_endpoint(path: str) -> tuple[int, dict]:
-    return 404, {"error": "NotFound", "message": f"no endpoint {path}"}
 
 
 class CatalogRequestHandler(BaseHTTPRequestHandler):
@@ -69,7 +122,17 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":  # a refused HEAD (501) carries no content, RFC 9110 §9.3.2
+            self.wfile.write(body)
+
+    def send_error(self, code, message=None, explain=None):
+        """Answer in JSON the refusals ``BaseHTTPRequestHandler`` makes itself: a method
+        with no handler, a malformed or over-long request line, over-long headers."""
+        status = HTTPStatus(code)
+        self.request_version = self.protocol_version  # a status line, however garbled the request
+        self.close_connection = True
+        self._send_json(status, {"error": status.phrase.replace(" ", ""),
+                                 "message": message or status.description})
 
     def _error_reply(self, exc: Exception, write: bool = False) -> tuple[int, dict]:
         """Status and body answering ``exc``; call it inside the ``except`` block."""
@@ -78,61 +141,29 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
             self.server.handle_error(self.request, self.client_address)
         return status, {"error": getattr(exc, "case", type(exc).__name__), "message": str(exc)}
 
-    # -- GET ------------------------------------------------------------------
+    # -- requests -------------------------------------------------------------
 
     def do_GET(self):
         url = urlsplit(self.path)
         try:
-            if url.path == "/contexts":
-                reply = self._get_contexts()
-            elif url.path == "/cube":
-                reply = self._get_cube(url.query)
-            elif url.path.startswith("/records/"):
-                reply = self._get_record(unquote(url.path[len("/records/"):]))
-            elif url.path.startswith("/resolve/"):
-                reply = self._get_resolve(unquote(url.path[len("/resolve/"):]))
-            else:
-                reply = _no_endpoint(url.path)
+            root, slash, name = url.path[1:].partition("/")
+            read = _READ_AT.get("/" + root)
+            if read is None or read.named != bool(slash) or (slash and not name):
+                raise NotFound(f"no endpoint GET {url.path}")
+            pairs = parse_qsl(url.query, keep_blank_values=True)
+            reply = 200, read.payload(read.run(self.server.store, unquote(name), pairs))
         except Exception as exc:
             reply = self._error_reply(exc)
         self._send_json(*reply)
 
-    def _get_record(self, code_text: str):
-        record = self.server.store.get_record(parse_document_code(code_text))
-        return 200, record_to_dict(record)
-
-    def _get_resolve(self, code_text: str):
-        raw = self.server.store.sources.resolve(parse_document_code(code_text))
-        return 200, source_record_to_dict(raw)
-
-    def _get_contexts(self):
-        return 200, list(map(context_to_dict, self.server.store.list_contexts()))
-
-    def _get_cube(self, query_text: str):
-        query = analytics.parse_query(parse_qsl(query_text, keep_blank_values=True))
-        result = analytics.cube_query(self.server.store.snapshot(), query)
-        return 200, {
-            "pattern": result.pattern,
-            "free_dimensions": list(result.free_dimensions),
-            "cells": [
-                {
-                    "key": dict(zip(result.free_dimensions, cell.key)),
-                    "count": cell.count,
-                    "event_ids": list(cell.event_ids),
-                }
-                for cell in result.cells
-            ],
-            "total": result.total,
-        }
-
-    # -- POST -----------------------------------------------------------------
-
     def do_POST(self):
         url = urlsplit(self.path)
         try:
-            reply = self._post_usage() if url.path == "/usage" else _no_endpoint(url.path)
-        except Exception as exc:
-            reply = self._error_reply(exc, write=True)
+            if url.path != "/usage":
+                raise NotFound(f"no endpoint POST {url.path}")
+            reply = self._post_usage()
+        except Exception as exc:  # a POST elsewhere is answered 404, not 409
+            reply = self._error_reply(exc, write=url.path == "/usage")
         self._send_json(*reply)
 
     def _post_usage(self):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 import mediacube.cli  # noqa: F401  (loads every module, the service's error cases too)
-from mediacube.errors import ERROR_TABLE, UNLISTED, MediaCubeError, exit_code, http_status
+from mediacube.errors import (ERROR_TABLE, UNLISTED, MediaCubeError, NotFound, exit_code,
+                             http_status)
 from mediacube.service import RequestTimeout
 from mediacube.store import UnknownUser
 
@@ -65,3 +66,8 @@ def test_unlisted_failures_are_internal_errors():
 
 def test_request_timeout_row():
     assert (http_status(RequestTimeout("late")), exit_code(RequestTimeout("late"))) == (408, 1)
+
+
+def test_not_found_row():
+    assert ERROR_TABLE["NotFound"] == (404, 1)
+    assert (http_status(NotFound("no endpoint GET /x")), exit_code(NotFound("x"))) == (404, 1)

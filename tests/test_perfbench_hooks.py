@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import importlib
 import json
+import threading
+import urllib.request
 from pathlib import Path
 
 from catalog_fixtures import write_tabular_source
+from mediacube.analytics import REPORTS
 from mediacube.cli import main
 from mediacube.federation import mapping_to_dict
 from mediacube.service import make_server
@@ -80,3 +83,39 @@ def test_a_traced_cli_session_makes_spans_in_every_busy_layer(monkeypatch, tmp_p
     assert codes == [0] * len(session), capsys.readouterr().err
     seen = {span.name.split(".")[0] for span in tracer.spans}
     assert [layer for layer in busy if layer not in seen] == []
+
+
+def test_every_report_read_calls_the_traced_report_function(monkeypatch, five_event_catalog,
+                                                            capsys):
+    # The reads look the report functions up when they run: a table that captured them
+    # at import would bypass the tracer and read every analytics.report_ms.* as 0.
+    tracing = _tracing(monkeypatch)
+    names = list(tracing.REPORTS.values())
+    assert sorted(names) == sorted(REPORTS)
+    expected = [f"analytics.report.{name}" for name in names]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        codes = [main(["--catalog", str(five_event_catalog), "report", name, "--user", "u1"])
+                 for name in names]
+        cli_spans = [s.name for s in tracer.spans if s.name.startswith("analytics.report.")]
+        del tracer.spans[:]
+        server = make_server(CatalogStore.load(five_event_catalog), five_event_catalog)
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02})
+        thread.start()
+        try:
+            base = "http://%s:%d" % server.server_address[:2]
+            statuses = []
+            for name in names:
+                with urllib.request.urlopen(f"{base}/report/{name}?user=u1") as response:
+                    statuses.append(response.status)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        http_spans = [s.name for s in tracer.spans if s.name.startswith("analytics.report.")]
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(names), capsys.readouterr().err
+    assert statuses == [200] * len(names)
+    assert cli_spans == http_spans == expected

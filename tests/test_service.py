@@ -196,18 +196,26 @@ def serving(store, catalog_path):
         server.server_close()
 
 
-def raw_post(base: str, headers: str, body: bytes = b""):
-    """Send a hand-written POST /usage; return (status, JSON body) or fail on a hang."""
+def raw_request(base: str, data: bytes):
+    """Send ``data`` as it is; return (status, Content-Type, JSON body) or fail on a hang."""
     host, port = urllib.parse.urlsplit(base).netloc.split(":")
-    request = f"POST /usage HTTP/1.1\r\nHost: {host}\r\n{headers}\r\n".encode() + body
     with socket.create_connection((host, int(port)), timeout=5) as sock:
-        sock.sendall(request)
+        sock.sendall(data)
         reply = b""
         while chunk := sock.recv(65536):  # the server closes after one reply
             reply += chunk
     head, _, payload = reply.partition(b"\r\n\r\n")
     assert head.startswith(b"HTTP/1."), reply
-    return int(head.split()[1]), json.loads(payload)
+    headers = dict(line.split(": ", 1) for line in head.decode("latin-1").split("\r\n")[1:])
+    return int(head.split()[1]), headers["Content-Type"], json.loads(payload)
+
+
+def raw_post(base: str, headers: str, body: bytes = b""):
+    """Send a hand-written POST /usage; return (status, JSON body)."""
+    host = urllib.parse.urlsplit(base).hostname
+    request = f"POST /usage HTTP/1.1\r\nHost: {host}\r\n{headers}\r\n".encode() + body
+    status, _, payload = raw_request(base, request)
+    return status, payload
 
 
 @pytest.mark.parametrize("length", ["abc", "-5", "1e3", "+12"])
@@ -435,3 +443,53 @@ def test_every_reader_of_outside_json_refuses_it(five_event_catalog, tmp_path, c
     with pytest.raises(CorruptCatalog, match=f"^line {line}: ") as refused:
         CatalogStore.load(five_event_catalog)
     assert refused.value.line_number == line
+
+
+@pytest.mark.parametrize("method, path", [
+    ("GET", "/nope"), ("GET", "/records"), ("GET", "/records/"), ("GET", "/resolve"),
+    ("GET", "/report"), ("GET", "/report/bogus"), ("GET", "/contexts/teaching"),
+    ("GET", "/cube/"), ("POST", "/records/fx:d1"), ("POST", "/nope"),
+])
+def test_not_found_goes_through_the_error_table(served_catalog, method, path):
+    base, catalog = served_catalog
+    before = catalog.read_bytes()
+    request = urllib.request.Request(base + path, method=method,
+                                     data=b"{}" if method == "POST" else None)
+    with pytest.raises(urllib.error.HTTPError) as refused:
+        urllib.request.urlopen(request)
+    body = json.loads(refused.value.read())
+    refused.value.close()
+    assert (refused.value.code, body["error"]) == (ERROR_TABLE["NotFound"][0], "NotFound")
+    assert catalog.read_bytes() == before
+
+
+@pytest.mark.parametrize("request_bytes, status, case", [
+    (b"PUT /usage HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n", 501, "NotImplemented"),
+    (b"DELETE /records/fx:d1 HTTP/1.1\r\nHost: x\r\n\r\n", 501, "NotImplemented"),
+    (b"GARBAGE\r\n\r\n", 400, "BadRequest"),
+    (b"GET /cube HTTP/x.y\r\n\r\n", 400, "BadRequest"),
+    # Exactly one byte over the 64 KiB line cap, so the server reads all that is sent.
+    (b"GET /" + b"a" * (65537 - 5), 414, "Request-URITooLong"),
+    (b"GET /cube HTTP/1.1\r\nX: " + b"a" * (65537 - 3), 431, "RequestHeaderFieldsTooLarge"),
+], ids=["put", "delete", "garbage-line", "bad-version", "long-line", "long-header"])
+def test_the_stdlib_refusals_answer_json(served_catalog, request_bytes, status, case):
+    base, catalog = served_catalog
+    before = catalog.read_bytes()
+    reply = raw_request(base, request_bytes)
+    assert reply[:2] == (status, "application/json; charset=utf-8")
+    assert reply[2]["error"] == case and reply[2]["message"]
+    assert catalog.read_bytes() == before
+
+
+
+def test_a_refused_head_has_no_body(served_catalog):
+    base, _ = served_catalog
+    host, port = urllib.parse.urlsplit(base).netloc.split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(b"HEAD /cube HTTP/1.1\r\nHost: x\r\n\r\n")
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.0 501 ") and b"application/json" in head
+    assert body == b""
